@@ -41,7 +41,6 @@ class RunConfig:
 
     seed: int = 0
     tol_norm: float = 1e-9
-    tol_eigencluster: float = 1e-9
     tol_symbol: float = DEFAULT_SYMBOL_TOL
     eps: float = DEFAULT_SECTION_EPS
     grid: int = DEFAULT_GRID
@@ -49,7 +48,7 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        for name in ("tol_norm", "tol_eigencluster", "tol_symbol", "eps"):
+        for name in ("tol_norm", "tol_symbol", "eps"):
             if getattr(self, name) <= 0:
                 raise InputError(f"{name} must be positive")
         if self.grid <= 0 or any(s <= 0 for s in self.sizes):
@@ -296,7 +295,6 @@ def build_parser():
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None, help="write the report here")
     common.add_argument("--tol-norm", type=float, default=1e-9)
-    common.add_argument("--tol-eigencluster", type=float, default=1e-9)
     common.add_argument("--tol-symbol", type=float, default=DEFAULT_SYMBOL_TOL)
     common.add_argument("--eps", type=float, default=DEFAULT_SECTION_EPS,
                         help="finite-section singular value threshold")
@@ -367,7 +365,6 @@ def main(argv=None):
         config = RunConfig(
             seed=args.seed,
             tol_norm=args.tol_norm,
-            tol_eigencluster=args.tol_eigencluster,
             tol_symbol=args.tol_symbol,
             eps=args.eps,
             grid=args.grid,

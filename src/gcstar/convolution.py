@@ -160,7 +160,6 @@ def regular_rep(G, x, f):
     M = np.zeros((len(basis), len(basis)), dtype=complex)
     for y in basis:
         # f(g y^{-1}) with g = z y ranges over z in the fiber of ran(y)
-        yinv = G.inverse[y]
         for z, fv in f.values.items():
             if G.dom[z] != G.ran[y]:
                 continue

@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AmbiguityError, GluingConditionError, InputError
-from .groupoid import FiniteGroupoid, GroupoidMorphism, reduction, validate
+from .groupoid import (FiniteGroupoid, GroupoidMorphism, UnionFind, reduction,
+                       validate)
 
 
 class GluingFamily:
@@ -227,27 +228,18 @@ def glue(family):
         raise GluingConditionError(report)
 
     tokens = [(i, g) for i, piece in enumerate(family.pieces) for g in piece.arrows]
-    parent = {t: t for t in tokens}
-
-    def find(t):
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        return t
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
+    uf = UnionFind(tokens)
     for (i, j), phi in family.isos.items():
         for g, img in phi.arrow_map.items():
-            union((i, g), (j, img))
+            uf.union((i, g), (j, img))
+    find = uf.find
 
+    # tokens are in ascending order, so each class lists its smallest first;
+    # numbering classes by it keeps glued arrow ids independent of the roots
     classes = {}
     for t in tokens:
         classes.setdefault(find(t), []).append(t)
-    reps = sorted(classes)
+    reps = sorted(classes, key=lambda rep: classes[rep][0])
     new_id = {rep: a for a, rep in enumerate(reps)}
 
     def class_of(token):

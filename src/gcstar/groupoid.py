@@ -327,20 +327,31 @@ def is_invariant(G, U):
     return saturation(G, U) == U
 
 
-def orbits(G):
-    """Partition of the units into reachability classes, in unit order."""
-    parent = {x: x for x in G.units}
+class UnionFind:
+    """Disjoint sets with path halving; ``union(a, b)`` puts a's root under b's."""
 
-    def find(x):
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        parent = self.parent
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+
+def orbits(G):
+    """Partition of the units into reachability classes, in unit order."""
+    uf = UnionFind(G.units)
     for g in G.arrows:
-        a, b = find(G.dom[g]), find(G.ran[g])
-        if a != b:
-            parent[a] = b
+        uf.union(G.dom[g], G.ran[g])
+    find = uf.find
     groups = {}
     for x in G.units:
         groups.setdefault(find(x), []).append(x)

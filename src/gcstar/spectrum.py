@@ -9,8 +9,9 @@ extracted numerically:
    equality/zero constraints on matrix entries, handled by union-find;
 2. sample a random self-adjoint element of the commutant (seeded) and split
    the representation space along its eigenvalue clusters;
-3. group equivalent sub-blocks by comparing generator traces and keep one
-   representative per class.
+3. compute the arrow images Q* A_g Q of each cluster once; group equivalent
+   sub-blocks by their traces and keep one representative per class, whose
+   images feed the *-homomorphism checks and the annihilator norms.
 
 Every block corresponds to one irreducible representation, hence to one
 primitive ideal (its kernel).  Induction from the algebra of a reduction is
@@ -28,7 +29,7 @@ import numpy as np
 
 from .convolution import ArrowFunction, regular_rep, reduced_norm
 from .errors import AmbiguityError, CoverPreconditionError, InputError
-from .groupoid import orbits, reduction, saturation, validate
+from .groupoid import UnionFind, orbits, reduction, saturation, validate
 
 CLUSTER_TOL = 1e-9
 # Gaps between genuinely degenerate eigenvalues sit at the noise floor
@@ -52,6 +53,21 @@ class ConcreteAlgebra:
         self.positions = tuple(positions)  # (base unit, fiber arrow) per coordinate
         self.dim = len(positions)
         self.generator_maps = generator_maps  # arrow id -> {col -> row}
+        # column and row of every generator entry, one row per arrow in
+        # arrow order, padded with the index dim (a zero row in ``images``)
+        maps = [generator_maps[g] for g in groupoid.arrows]
+        width = max(map(len, maps), default=0)
+        self._entry_col = np.full((len(maps), width), self.dim)
+        self._entry_row = np.full((len(maps), width), self.dim)
+        for k, pmap in enumerate(maps):
+            self._entry_col[k, :len(pmap)] = list(pmap)
+            self._entry_row[k, :len(pmap)] = list(pmap.values())
+
+    def images(self, Q):
+        """Q* A_g Q for all arrows g, as an (n_arrows, d, d) array; gathers
+        the rows of the isometry Q (D x d), so no D x D generator is formed."""
+        Qz = np.vstack([Q, np.zeros((1, Q.shape[1]))])
+        return Qz[self._entry_row].conj().transpose(0, 2, 1) @ Qz[self._entry_col]
 
     def generator_matrix(self, g):
         M = np.zeros((self.dim, self.dim))
@@ -116,19 +132,9 @@ def commutant_basis(alg):
     one of them does.  Union-find over the entry grid solves this exactly.
     """
     D = alg.dim
-    parent = list(range(D * D))
+    uf = UnionFind(range(D * D))
+    union, find = uf.union, uf.find
     zero = [False] * (D * D)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
 
     for g in alg.groupoid.arrows:
         p = alg.generator_maps[g]
@@ -177,14 +183,12 @@ class Block:
     multiplicity: int
     isometry: np.ndarray = field(repr=False, compare=False)  # D x dim
     traces: tuple  # tr on each arrow delta, in arrow order
+    # spectral norm of the image of each arrow delta, in arrow order
+    arrow_norms: np.ndarray = field(repr=False, compare=False)
 
     def apply(self, alg, f):
         """The block image of an arrow function (sub-arrow-set tables allowed)."""
         return self.isometry.conj().T @ alg.rep(f) @ self.isometry
-
-    def apply_arrow(self, alg, g):
-        Q = self.isometry
-        return Q.conj().T @ alg.generator_matrix(g).astype(complex) @ Q
 
 
 @dataclass(frozen=True)
@@ -275,23 +279,18 @@ def wedderburn(alg, seed=0, cluster_tol=CLUSTER_TOL, trace_tol=TRACE_TOL):
     eigenvalues, vectors = np.linalg.eigh(T)
     clusters = _cluster_eigenvalues(eigenvalues, cluster_tol, CLUSTER_GRAY_ZONE)
 
-    arrows = alg.groupoid.arrows
-    gen_matrices = {g: alg.generator_matrix(g) for g in arrows}
-    sub = []
-    for (lo, hi) in clusters:
-        Q = vectors[:, lo:hi]
-        traces = np.array([np.einsum("ij,ji->", Q.conj().T @ gen_matrices[g], Q)
-                           for g in arrows])
-        sub.append((Q, hi - lo, traces))
-
     groups = []
-    for Q, n, traces in sub:
+    for (lo, hi) in clusters:
+        Q, n = vectors[:, lo:hi], hi - lo
+        images = alg.images(Q)
+        traces = np.einsum("kii->k", images)
         for grp in groups:
             if grp["dim"] == n and np.max(np.abs(grp["traces"] - traces)) < trace_tol:
                 grp["count"] += 1
                 break
         else:
-            groups.append({"dim": n, "traces": traces, "count": 1, "isometry": Q})
+            groups.append({"dim": n, "traces": traces, "count": 1, "isometry": Q,
+                           "images": images})
 
     if sum(grp["dim"] ** 2 for grp in groups) != alg.groupoid.n_arrows():
         raise AmbiguityError(
@@ -314,38 +313,47 @@ def wedderburn(alg, seed=0, cluster_tol=CLUSTER_TOL, trace_tol=TRACE_TOL):
             multiplicity=grp["count"],
             isometry=grp["isometry"],
             traces=tuple(grp["traces"]),
+            arrow_norms=np.linalg.norm(grp["images"], 2, axis=(1, 2)),
         ))
     dec = BlockDecomposition(alg, tuple(blocks))
-    _verify_blocks(dec)
+    _verify_blocks(dec, [grp["images"] for grp in groups])
     return dec
 
 
-def _verify_blocks(dec, sample_tol=1e-8):
-    """Integrity checks: block maps are *-homomorphisms and irreducible."""
-    alg = dec.algebra
-    G = alg.groupoid
-    for b in dec.blocks:
-        images = {g: b.apply_arrow(alg, g) for g in G.arrows}
-        span = np.stack([images[g].ravel() for g in G.arrows])
-        if np.linalg.matrix_rank(span, tol=1e-8) != b.dim ** 2:
+def _arrow_positions(G, ids):
+    """Positions of arrow ids in ``G.arrows``, which is sorted."""
+    return np.searchsorted(G.arrows, ids)
+
+
+def _verify_blocks(dec, images, sample_tol=1e-8):
+    """Integrity checks: block maps are *-homomorphisms and irreducible.
+
+    ``images[i]`` holds the (n_arrows, d, d) arrow images of block i.
+    """
+    G = dec.algebra.groupoid
+    n = G.n_arrows()
+    inverse = _arrow_positions(G, [G.inverse[g] for g in G.arrows])
+    # product[i, j]: position of arrows[i] * arrows[j]; -1 outside the table
+    product = np.full((n, n), -1)
+    left, right = _arrow_positions(G, list(G.compose_table)).reshape(-1, 2).T
+    product[left, right] = _arrow_positions(G, list(G.compose_table.values()))
+    in_table = product >= 0
+    err = np.empty((n, n))  # err[i, j]: distance of X_i X_j from its table value
+    for b, X in zip(dec.blocks, images):
+        if np.linalg.matrix_rank(X.reshape(n, -1), tol=1e-8) != b.dim ** 2:
             raise AmbiguityError(f"block {b.label} is not irreducible; "
                                  f"re-run with a different seed")
-        for g in G.arrows:
-            gi = G.inverse[g]
-            if np.max(np.abs(images[g].conj().T - images[gi])) > sample_tol:
-                raise AmbiguityError(f"block {b.label} fails the adjoint law")
-        for (g, h), k in G.compose_table.items():
-            err = np.max(np.abs(images[g] @ images[h] - images[k]))
-            if err > sample_tol:
-                raise AmbiguityError(f"block {b.label} fails multiplicativity")
+        if np.max(np.abs(X.conj().transpose(0, 2, 1) - X[inverse])) > sample_tol:
+            raise AmbiguityError(f"block {b.label} fails the adjoint law")
+        for i in range(n):
+            target = X[product[i]] * in_table[i][:, None, None]
+            err[i] = np.max(np.abs(X[i] @ X - target), axis=(1, 2))
+        if np.max(err[in_table]) > sample_tol:
+            raise AmbiguityError(f"block {b.label} fails multiplicativity")
         # products outside the table vanish
-        for g in G.arrows:
-            for h in G.arrows:
-                if (g, h) not in G.compose_table:
-                    err = np.max(np.abs(images[g] @ images[h]))
-                    if err > sample_tol:
-                        raise AmbiguityError(f"block {b.label} fails "
-                                             f"multiplicativity on a zero product")
+        if np.max(err[~in_table], initial=0.0) > sample_tol:
+            raise AmbiguityError(f"block {b.label} fails "
+                                 f"multiplicativity on a zero product")
 
 
 def block_decomposition(G, seed=0):
@@ -362,17 +370,13 @@ def prim_partition(dec, U):
     two agree, as the ideal generated by the corner is the one of the
     saturated sub-arrow-set.
     """
-    alg = dec.algebra
-    G = alg.groupoid
+    G = dec.algebra.groupoid
 
     def annihilated(subset_arrows):
+        idx = _arrow_positions(G, subset_arrows)
         inside, outside = set(), set()
         for b in dec.blocks:
-            worst = 0.0
-            for g in subset_arrows:
-                M = b.apply_arrow(alg, g)
-                if M.size:
-                    worst = max(worst, float(np.linalg.norm(M, 2)))
+            worst = np.max(b.arrow_norms[idx], initial=0.0)
             (inside if worst < ANNIHILATION_TOL else outside).add(b.label)
         return frozenset(inside), frozenset(outside)
 
@@ -826,37 +830,26 @@ def morita_reduction_data(G, U):
                     commute = False
 
     # Left-orbit space vs U through the domain map.
-    parent = {z: z for z in Z}
-
-    def find(node, tbl):
-        while tbl[node] != node:
-            tbl[node] = tbl[tbl[node]]
-            node = tbl[node]
-        return node
-
+    left = UnionFind(Z)
     for z in Z:
         for g in GW.arrows:
             if G.dom[g] == G.ran[z]:
-                a, b = find(z, parent), find(G.compose_table[(g, z)], parent)
-                if a != b:
-                    parent[a] = b
+                left.union(z, G.compose_table[(g, z)])
     left_classes = {}
     for z in Z:
-        left_classes.setdefault(find(z, parent), set()).add(G.dom[z])
+        left_classes.setdefault(left.find(z), set()).add(G.dom[z])
     left_ok = (len(left_classes) == len(U)
                and all(len(v) == 1 for v in left_classes.values())
                and {next(iter(v)) for v in left_classes.values()} == U)
 
-    parent2 = {z: z for z in Z}
+    right = UnionFind(Z)
     for z in Z:
         for h in GU.arrows:
             if G.ran[h] == G.dom[z]:
-                a, b = find(z, parent2), find(G.compose_table[(z, h)], parent2)
-                if a != b:
-                    parent2[a] = b
+                right.union(z, G.compose_table[(z, h)])
     right_classes = {}
     for z in Z:
-        right_classes.setdefault(find(z, parent2), set()).add(G.ran[z])
+        right_classes.setdefault(right.find(z), set()).add(G.ran[z])
     right_ok = (len(right_classes) == len(W)
                 and all(len(v) == 1 for v in right_classes.values())
                 and {next(iter(v)) for v in right_classes.values()} == W)

@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,10 +8,13 @@ from gcstar.convolution import ArrowFunction
 from gcstar.errors import CoverPreconditionError
 from gcstar.fixtures import (disjoint_pair_z2, pair2, pair3, swap_action,
                              z2_groupoid, z3_groupoid)
-from gcstar.groupoid import (FiniteGroup, disjoint_union, group_groupoid,
-                             isotropy, orbits, pair_groupoid, reduction)
+from gcstar.errors import AmbiguityError
+from gcstar.groupoid import (FiniteGroup, direct_product, disjoint_union,
+                             group_groupoid, isotropy, orbits, pair_groupoid,
+                             reduction)
 from gcstar.randgen import random_groupoid, random_subset, rng_from_seed
-from gcstar.spectrum import (block_decomposition, check_families,
+from gcstar.spectrum import (BlockDecomposition, _verify_blocks,
+                             block_decomposition, check_families,
                              check_norm_estimates, check_phi_isometry,
                              check_regular_family_faithful, commutant_basis,
                              concrete_algebra, induce, induction_map,
@@ -84,6 +90,83 @@ def test_block_census_on_random_groupoids():
         dec = block_decomposition(G, seed=3)
         assert sum(b.dim ** 2 for b in dec.blocks) == G.n_arrows()
         assert sum(b.dim * b.multiplicity for b in dec.blocks) == dec.algebra.dim
+
+
+def symmetric_group_3():
+    elements = list(itertools.permutations(range(3)))
+    table = {(a, b): tuple(a[b[i]] for i in range(3))
+             for a in elements for b in elements}
+    return FiniteGroup.from_table(elements, table, (0, 1, 2))
+
+
+def test_block_images_match_dense_definition():
+    rng = rng_from_seed(29)
+    groupoids = [random_groupoid(rng, max_arrows=40) for _ in range(6)]
+    groupoids.append(direct_product(pair_groupoid(["1", "2", "3"]),
+                                    group_groupoid(symmetric_group_3())))
+    for G in groupoids:
+        dec = block_decomposition(G, seed=11)
+        alg = dec.algebra
+        for b in dec.blocks:
+            Q = b.isometry
+            dense = np.stack([Q.conj().T @ alg.generator_matrix(g) @ Q
+                              for g in G.arrows])
+            assert np.max(np.abs(alg.images(Q) - dense)) < 1e-12
+            assert np.max(np.abs(np.array(b.traces)
+                                 - np.trace(dense, axis1=1, axis2=2))) < 1e-12
+            norms = [np.linalg.norm(M, 2) for M in dense]
+            assert np.max(np.abs(b.arrow_norms - norms)) < 1e-12
+    # non-abelian isotropy: S3 has irreducibles of dimension 1, 1 and 2
+    assert [b.dim for b in dec.blocks] == [3, 3, 6]
+
+
+def block_images(dec):
+    return [dec.algebra.images(b.isometry) for b in dec.blocks]
+
+
+def test_verify_blocks_rejects_a_reducible_block():
+    dec = block_decomposition(z3_groupoid(), seed=1)
+    _verify_blocks(dec, block_images(dec))
+    # two inequivalent characters posing as one two-dimensional block
+    Q = np.hstack([dec.blocks[0].isometry, dec.blocks[1].isometry])
+    fake = BlockDecomposition(dec.algebra, (replace(dec.blocks[0], dim=2),))
+    with pytest.raises(AmbiguityError, match="not irreducible"):
+        _verify_blocks(fake, [dec.algebra.images(Q)])
+
+
+@pytest.mark.parametrize("tamper, message", [
+    # a non-Hermitian shift of the unit's image
+    (lambda X, u: X[u] + 1e-6j * np.eye(3), "fails the adjoint law"),
+    # the unit stays self-adjoint but is no longer idempotent
+    (lambda X, u: 2 * X[u], "fails multiplicativity$"),
+])
+def test_verify_blocks_rejects_tampered_images(tamper, message):
+    G = pair3()
+    dec = block_decomposition(G, seed=1)
+    images = block_images(dec)
+    _verify_blocks(dec, images)
+    X = images[0].copy()
+    u = G.arrows.index(G.unit_arrow["1"])
+    X[u] = tamper(X, u)
+    with pytest.raises(AmbiguityError, match=message):
+        _verify_blocks(dec, [X])
+
+
+def test_verify_blocks_rejects_a_nonzero_product_outside_the_table():
+    G = disjoint_pair_z2()
+    dec = block_decomposition(G, seed=1)
+    images = block_images(dec)
+    _verify_blocks(dec, images)
+    pair = next(i for i, b in enumerate(dec.blocks) if b.dim == 2)
+    X = images[pair].copy()
+    # the trivial character of the group part, placed on the pair block,
+    # keeps every product in the table but no longer kills the products
+    # across the two orbits
+    group_arrows = [k for k, g in enumerate(G.arrows) if G.dom[g] == "3"]
+    X[group_arrows] = np.eye(2)
+    images[pair] = X
+    with pytest.raises(AmbiguityError, match="multiplicativity on a zero product"):
+        _verify_blocks(dec, images)
 
 
 def test_prim_partition_examples():
