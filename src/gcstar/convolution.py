@@ -7,8 +7,9 @@ arrows reads
 
 the involution is f*(g) = conj(f(g^{-1})), and the regular representation at
 a unit x acts on the finite-dimensional fiber space spanned by d^{-1}(x) via
-left convolution.  The reduced norm is the largest operator norm over units;
-for finite groupoids it is the unique C*-norm on the algebra.
+left convolution.  The reduced norm is the largest operator norm over units
+(one unit per orbit suffices); for finite groupoids it is the unique C*-norm
+on the algebra.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .groupoid import orbits
 
 
 class ArrowFunction:
@@ -169,10 +171,14 @@ def regular_rep(G, x, f):
 
 
 def reduced_norm(G, f):
-    """sup over units of the operator norm of the regular representation."""
+    """sup over units of the operator norm of the regular representation.
+
+    Regular representations at units of one orbit are unitarily equivalent,
+    so one unit per orbit, the first in unit order, is visited.
+    """
     best = 0.0
-    for x in G.units:
-        best = max(best, regular_rep(G, x, f).norm())
+    for orb in orbits(G):
+        best = max(best, regular_rep(G, min(orb, key=G.units.index), f).norm())
     return best
 
 

@@ -122,6 +122,15 @@ def test_reduced_norm_examples():
     assert abs(reduced_norm(Z2, f) - 2.0) < TOL
 
 
+def test_reduced_norm_is_the_sup_over_all_units():
+    rng = rng_from_seed(7)
+    for _ in range(20):
+        G = random_groupoid(rng, max_arrows=30)
+        f = random_arrow_function(rng, G)
+        expected = max(regular_rep(G, x, f).norm() for x in G.units)
+        assert abs(reduced_norm(G, f) - expected) < TOL
+
+
 def test_cstar_identity():
     rng = rng_from_seed(4)
     for _ in range(20):

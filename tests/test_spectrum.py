@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from gcstar.convolution import ArrowFunction
-from gcstar.errors import CoverPreconditionError
+from gcstar.errors import CoverPreconditionError, InputError
 from gcstar.fixtures import (disjoint_pair_z2, pair2, pair3, swap_action,
                              z2_groupoid, z3_groupoid)
 from gcstar.errors import AmbiguityError
 from gcstar.groupoid import (FiniteGroup, direct_product, disjoint_union,
                              group_groupoid, isotropy, orbits, pair_groupoid,
                              reduction)
-from gcstar.randgen import random_groupoid, random_subset, rng_from_seed
+from gcstar.randgen import (random_arrow_function, random_groupoid,
+                            random_subset, rng_from_seed)
 from gcstar.spectrum import (BlockDecomposition, _verify_blocks,
                              block_decomposition, check_families,
                              check_norm_estimates, check_phi_isometry,
@@ -69,18 +70,25 @@ def test_block_labels_are_seed_independent():
 
 def test_commutant_dimension_equals_total_isotropy():
     rng = rng_from_seed(20)
-    for _ in range(15):
-        G = random_groupoid(rng, max_arrows=40)
+    groupoids = [random_groupoid(rng, max_arrows=40) for _ in range(15)]
+    # non-abelian isotropy tells right translations y h from h y
+    groupoids += [group_groupoid(symmetric_group_3()), pair3_s3()]
+    for G in groupoids:
         alg = concrete_algebra(G)
         basis = commutant_basis(alg)
         expected = sum(len(isotropy(G, min(orb, key=G.units.index)))
                        for orb in orbits(G))
         assert len(basis) == expected
         # every basis element genuinely commutes with every generator
-        for B in basis[:3]:
-            for g in list(G.arrows)[:10]:
-                A = alg.generator_matrix(g)
-                assert np.max(np.abs(A @ B - B @ A)) == 0.0
+        generators = [alg.generator_matrix(g) for g in G.arrows]
+        for rows, cols in basis:
+            B = np.zeros((alg.dim, alg.dim))
+            B[rows, cols] = 1.0
+            for A in generators:
+                assert np.array_equal(A @ B, B @ A)
+        # supports are pairwise disjoint
+        cells = [cell for rows, cols in basis for cell in zip(rows, cols)]
+        assert len(set(cells)) == len(cells)
 
 
 def test_block_census_on_random_groupoids():
@@ -99,11 +107,15 @@ def symmetric_group_3():
     return FiniteGroup.from_table(elements, table, (0, 1, 2))
 
 
+def pair3_s3():
+    return direct_product(pair_groupoid(["1", "2", "3"]),
+                          group_groupoid(symmetric_group_3()))
+
+
 def test_block_images_match_dense_definition():
     rng = rng_from_seed(29)
     groupoids = [random_groupoid(rng, max_arrows=40) for _ in range(6)]
-    groupoids.append(direct_product(pair_groupoid(["1", "2", "3"]),
-                                    group_groupoid(symmetric_group_3())))
+    groupoids.append(pair3_s3())
     for G in groupoids:
         dec = block_decomposition(G, seed=11)
         alg = dec.algebra
@@ -118,6 +130,27 @@ def test_block_images_match_dense_definition():
             assert np.max(np.abs(b.arrow_norms - norms)) < 1e-12
     # non-abelian isotropy: S3 has irreducibles of dimension 1, 1 and 2
     assert [b.dim for b in dec.blocks] == [3, 3, 6]
+
+
+def test_block_apply_matches_dense_definition():
+    rng = rng_from_seed(30)
+    groupoids = [random_groupoid(rng, max_arrows=40) for _ in range(3)]
+    groupoids.append(pair3_s3())
+    for G in groupoids:
+        dec = block_decomposition(G, seed=11)
+        alg = dec.algebra
+        GU = reduction(G, {G.units[0]})
+        full = random_arrow_function(rng, G)
+        sub = random_arrow_function(rng, GU)
+        for f in (full, sub):
+            dense = sum(v * alg.generator_matrix(g) for g, v in f.values.items())
+            for b in dec.blocks:
+                Q = b.isometry
+                assert np.max(np.abs(b.apply(alg, f) - Q.conj().T @ dense @ Q)) < 1e-12
+    # a function with an arrow the algebra does not have fails loudly
+    dec_red = block_decomposition(GU, seed=11)
+    with pytest.raises(InputError, match="outside the algebra"):
+        dec_red.blocks[0].apply(dec_red.algebra, full)
 
 
 def block_images(dec):
