@@ -147,29 +147,29 @@ class BandOperator:
         """Upper band storage of the Gram matrix of the finite section.
 
         Returns (bands, size) with bands in the layout scipy's banded
-        eigensolvers expect; the Gram matrix A*A has bandwidth 2w.
+        eigensolvers expect; the Gram matrix A*A has bandwidth 2w.  Row i
+        holds c_k(i) in column i - k, so the pair of offsets k1 >= k2 adds
+        conj(c_k1(i)) c_k2(i) to the entry (i - k1, i - k2).
         """
         n = 2 * N + 1
         w = self.bandwidth
-        cols = {}
+        rows = np.arange(-N, N + 1)
+        coeffs = {}
         for k, d in self.diagonals.items():
-            for i in range(max(-N, -N + k), min(N, N + k) + 1):
-                cols.setdefault(i - k, {})[i] = d.value(i)
+            c = np.where(rows < 0, d.limit_minus, d.limit_plus)
+            for i, v in d.core:
+                if -N <= i <= N:
+                    c[i + N] = v
+            coeffs[k] = c
         bands = np.zeros((2 * w + 1, n), dtype=complex)
-        for j in range(-N, N + 1):
-            cj = cols.get(j, {})
-            if not cj:
-                continue
-            for j2 in range(j, min(N, j + 2 * w) + 1):
-                cj2 = cols.get(j2, {})
-                acc = 0j
-                for i, v in cj.items():
-                    v2 = cj2.get(i)
-                    if v2 is not None:
-                        acc += np.conj(v) * v2
-                if acc != 0:
-                    # upper storage: bands[u + j - j2, j2] with u = 2w
-                    bands[2 * w + j - j2, j2 + N] = acc
+        for k1, c1 in coeffs.items():
+            for k2, c2 in coeffs.items():
+                lo, hi = max(-N, k1 - N), min(N, k2 + N)
+                if k1 >= k2 and lo <= hi:
+                    # upper storage: bands[u + j1 - j2, j2] with u = 2w
+                    r = slice(lo + N, hi + N + 1)
+                    bands[2 * w - k1 + k2, lo - k2 + N:hi - k2 + N + 1] += (
+                        np.conj(c1[r]) * c2[r])
         return bands, n
 
     def _safe_window(self, *others, shift=0):
@@ -395,20 +395,14 @@ class FiniteSectionReport:
     flag: str               # CONSISTENT-FREDHOLM / CONSISTENT-NONFREDHOLM / INCONCLUSIVE
 
 
-def _count_singular_below(bands, n, threshold):
-    vals = eigvals_banded(bands, select="v",
-                          select_range=(-1.0, float(threshold) ** 2))
-    return int(vals.size)
-
-
 def finite_section_analysis(A, sizes, eps=DEFAULT_SECTION_EPS):
     """Three-valued truncation diagnostics for the Fredholm verdict.
 
     Each section over [-N, N] contributes the number of singular values
     below eps and the number below a moderate window (a fixed small fraction
-    of the operator norm).  Singular values come from the banded Gram
-    eigenvalues, so each section costs quadratic time.  The flag is a
-    heuristic:
+    of the operator norm).  Each section costs one full banded eigenvalue
+    solve of its Gram matrix; both counts, and the norm at the largest size,
+    are read off that sorted spectrum.  The flag is a heuristic:
 
     * either count strictly increasing -> CONSISTENT-NONFREDHOLM (the
       window fills at a rate proportional to the section size exactly when
@@ -431,17 +425,16 @@ def finite_section_analysis(A, sizes, eps=DEFAULT_SECTION_EPS):
     if sizes[0] <= needed:
         raise InputError(f"smallest size must exceed {needed} for this operator")
 
-    grams = {N: A.gram_banded(N) for N in sizes}
-    bands_top, n_top = grams[sizes[-1]]
-    top = eigvals_banded(bands_top, select="i", select_range=(n_top - 1, n_top - 1))
-    scale = float(np.sqrt(max(top.real[0], 0.0)))
+    spectra = [eigvals_banded(A.gram_banded(N)[0]) for N in sizes]
+    scale = float(np.sqrt(max(spectra[-1][-1], 0.0)))
     window = max(MODERATE_FRACTION * scale, 4.0 * eps)
 
-    counts, window_counts = [], []
-    for N in sizes:
-        bands, n = grams[N]
-        counts.append(_count_singular_below(bands, n, eps))
-        window_counts.append(_count_singular_below(bands, n, window))
+    def below(threshold):
+        # Gram eigenvalues in (-1, threshold**2], per size
+        t = float(threshold) ** 2
+        return [int(np.count_nonzero((vals > -1.0) & (vals <= t))) for vals in spectra]
+
+    counts, window_counts = below(eps), below(window)
 
     def growing(seq):
         return all(b > a for a, b in zip(seq, seq[1:]))

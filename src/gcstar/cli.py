@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandops import (DEFAULT_GRID, DEFAULT_SECTION_EPS, DEFAULT_SYMBOL_TOL,
-                      finite_section_analysis, fredholm_verdict, limit_operator,
-                      locality_check, symbol_invertible)
+                      finite_section_analysis, limit_operator, locality_check,
+                      symbol_invertible)
 from .errors import (AmbiguityError, CoverPreconditionError,
                      GluingConditionError, GridRefinementNeeded, InputError)
 from .gluing import check_weak_gluing, glue
@@ -37,7 +37,7 @@ FIXTURE_ENV = "GCSTAR_FIXTURES"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Tolerances and sizes shared by the subcommands; all positive."""
+    """Seed and positive tolerances and sizes; defaults fill absent flags."""
 
     seed: int = 0
     tol_norm: float = 1e-9
@@ -194,14 +194,14 @@ def cmd_glue(args, config):
 def cmd_fredholm(args, config):
     A = load_band_operator(resolve_input(args.operator))
     report = Report("fredholm", config.seed)
-    verdict = fredholm_verdict(A, grid=config.grid, tol=config.tol_symbol)
+    loc = locality_check(A, grid=config.grid, tol=config.tol_symbol)
+    verdict = loc.two_sided
     rows = report.section("verdict")
     report.add(rows, "fredholm", verdict.fredholm)
     for end in ("minus", "plus"):
         chk = verdict.end(end)
         report.add(rows, f"{end}-min-modulus", chk.min_modulus)
         report.add(rows, f"{end}-certified-margin", chk.margin)
-    loc = locality_check(A, grid=config.grid, tol=config.tol_symbol)
     rows = report.section("locality")
     report.add(rows, "left-fredholm", loc.left_fredholm)
     report.add(rows, "right-fredholm", loc.right_fredholm)
@@ -294,13 +294,16 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None, help="write the report here")
-    common.add_argument("--tol-norm", type=float, default=1e-9)
-    common.add_argument("--tol-symbol", type=float, default=DEFAULT_SYMBOL_TOL)
-    common.add_argument("--eps", type=float, default=DEFAULT_SECTION_EPS,
-                        help="finite-section singular value threshold")
-    common.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    common.add_argument("--sizes", default="256,512,1024",
-                        help="comma-separated finite-section sizes")
+    norm = argparse.ArgumentParser(add_help=False)
+    norm.add_argument("--tol-norm", type=float, default=RunConfig.tol_norm)
+    symbol = argparse.ArgumentParser(add_help=False)
+    symbol.add_argument("--tol-symbol", type=float, default=DEFAULT_SYMBOL_TOL)
+    symbol.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    sections = argparse.ArgumentParser(add_help=False)
+    sections.add_argument("--eps", type=float, default=DEFAULT_SECTION_EPS,
+                          help="finite-section singular value threshold")
+    sections.add_argument("--sizes", default="256,512,1024",
+                          help="comma-separated finite-section sizes")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -320,7 +323,7 @@ def build_parser():
     p.add_argument("--cover", required=True)
     p.set_defaults(func=cmd_verify_decomposition)
 
-    p = sub.add_parser("induction-checks", parents=[common],
+    p = sub.add_parser("induction-checks", parents=[common, norm],
                        help="norm estimates and the induced-representation unitary")
     p.add_argument("groupoid")
     p.add_argument("--subsets", required=True,
@@ -334,13 +337,13 @@ def build_parser():
     p.add_argument("--emit", default=None, help="write the glued groupoid here")
     p.set_defaults(func=cmd_glue)
 
-    p = sub.add_parser("fredholm", parents=[common],
+    p = sub.add_parser("fredholm", parents=[common, symbol, sections],
                        help="limit-operator verdict, locality, finite sections")
     p.add_argument("operator")
     p.add_argument("--emit-data", default=None)
     p.set_defaults(func=cmd_fredholm)
 
-    p = sub.add_parser("model", parents=[common],
+    p = sub.add_parser("model", parents=[common, symbol],
                        help="discretize a boundary model and check its symbol")
     p.add_argument("--spec", default=None, help="model spec JSON file")
     p.add_argument("--geometry", choices=("b", "cusp", "scattering"))
@@ -362,15 +365,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(
-            seed=args.seed,
-            tol_norm=args.tol_norm,
-            tol_symbol=args.tol_symbol,
-            eps=args.eps,
-            grid=args.grid,
-            sizes=_parse_sizes(args.sizes),
-            out=args.out,
-        )
+        flags = {name: getattr(args, name)
+                 for name in ("tol_norm", "tol_symbol", "eps", "grid", "sizes")
+                 if hasattr(args, name)}
+        if "sizes" in flags:
+            flags["sizes"] = _parse_sizes(flags["sizes"])
+        config = RunConfig(seed=args.seed, out=args.out, **flags)
         return args.func(args, config)
     except (InputError, CoverPreconditionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixtures
-from .bandops import (fredholm_verdict, finite_section_analysis, limit_operator,
-                      locality_check, symbol_invertible)
+from .bandops import (finite_section_analysis, limit_operator, locality_check,
+                      symbol_invertible)
 from .convolution import convolve, involution, regular_rep, reduced_norm
 from .errors import GluingConditionError
 from .gluing import check_weak_gluing, glue
@@ -176,10 +176,9 @@ def criterion_limit_operator_verdicts(seed=0, instances=100):
         rng = rng_from_seed(seed)
         for i in range(instances):
             A, oracle_fredholm, oracle = random_selfadjoint_tridiagonal(rng)
-            verdict = fredholm_verdict(A)
-            if verdict.fredholm != oracle_fredholm:
-                return False, f"oracle disagreement at instance {i}"
             loc = locality_check(A)
+            if loc.two_sided.fredholm != oracle_fredholm:
+                return False, f"oracle disagreement at instance {i}"
             if not loc.conjunction_identity:
                 return False, f"locality conjunction broke at instance {i}"
             if (loc.left_fredholm, loc.right_fredholm) != oracle["sided"]:

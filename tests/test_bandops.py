@@ -167,16 +167,53 @@ def test_adjoint_and_linearity():
     assert H.is_selfadjoint()
 
 
+def _upper_bands(M, u):
+    """The upper band storage of a dense Hermitian matrix, u superdiagonals."""
+    bands = np.zeros((u + 1, M.shape[0]), dtype=complex)
+    for d in range(u + 1):
+        bands[u - d, d:] = np.diagonal(M, d)
+    return bands
+
+
 def test_gram_banded_matches_dense_singular_values():
     rng = rng_from_seed(37)
+    ops = []
     for _ in range(5):
         A = random_band_operator(rng)
+        ops.append(A)
         N = 24
         from scipy.linalg import eigvals_banded
         bands, n = A.gram_banded(N)
         eigs = np.sqrt(np.clip(eigvals_banded(bands).real, 0.0, None))
         dense = np.linalg.svd(A.truncation(N), compute_uv=False)
         assert np.allclose(np.sort(eigs), np.sort(dense), atol=1e-10)
+    # entry by entry against T^H T, also for a section narrower than the
+    # core (N = 3) and for an operator with only the offsets -2 and 2
+    ops.append(BandOperator.from_limits({-2: (1.5, -0.5j), 2: (2j, 0.25)},
+                                        core={2: {-1: 3.0, 1: -1j}, -2: {0: 4.0}}))
+    for A in ops:
+        for N in (3, 24):
+            T = A.truncation(N)
+            bands, n = A.gram_banded(N)
+            assert n == 2 * N + 1
+            expected = _upper_bands(T.conj().T @ T, 2 * A.bandwidth)
+            assert np.max(np.abs(bands - expected)) < 1e-12
+
+
+def test_finite_section_counts_match_dense_singular_values():
+    rng = rng_from_seed(38)
+    ops = [random_band_operator(rng) for _ in range(6)]
+    ops += [random_selfadjoint_tridiagonal(rng)[0] for _ in range(4)]
+    # winding number 2: two singular values below eps at every size
+    ops.append(BandOperator.toeplitz({2: 1.0, 0: 0.5}))
+    sizes = (40, 80, 160)
+    for A in ops:
+        report = finite_section_analysis(A, sizes, 1e-6)
+        svals = [np.linalg.svd(A.truncation(N), compute_uv=False) for N in sizes]
+        assert report.counts == tuple(int(np.sum(s <= 1e-6)) for s in svals)
+        assert report.window_counts == tuple(int(np.sum(s <= report.window))
+                                             for s in svals)
+        assert abs(report.norm_estimate - svals[-1].max()) < 1e-9
 
 
 def test_finite_sections_identity():

@@ -126,7 +126,18 @@ def test_report_schema_header(tmp_path):
 
 
 def test_bad_tolerance_is_input_error():
-    assert run("spectrum", fixture("pair3.json"), "--tol-norm", "-1") == 2
+    assert run("induction-checks", fixture("pair3.json"), "--subsets",
+               fixture("subsets_induction.json"), "--tol-norm", "-1") == 2
+
+
+def test_flags_only_on_the_subcommands_that_read_them():
+    for argv in (("spectrum", fixture("pair3.json"), "--tol-norm", "1e-9"),
+                 ("suite", "--eps", "1e-3"),
+                 ("validate", fixture("pair3.json"), "--grid", "0"),
+                 ("model", "--spec", fixture("model_b.json"), "--sizes", "64,128")):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
 
 
 def test_console_script_entry_point():
