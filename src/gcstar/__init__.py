@@ -9,9 +9,9 @@ from .bandops import (BandOperator, Diagonal, FiniteSectionReport,
                       FredholmVerdict, LaurentSymbol, SymbolCheck,
                       finite_section_analysis, fredholm_verdict,
                       limit_operator, locality_check, symbol_invertible)
-from .convolution import (ArrowFunction, FiberVector, RepMatrix, convolve,
-                          involution, reduced_norm, regular_rep,
-                          scale_by_unit_function, unit_projection)
+from .convolution import (ArrowFunction, RepMatrix, convolve, involution,
+                          reduced_norm, regular_rep, scale_by_unit_function,
+                          unit_projection)
 from .errors import (AmbiguityError, CoverPreconditionError,
                      GluingConditionError, GridRefinementNeeded, InputError)
 from .gluing import (GluingFamily, GluingReport, check_weak_gluing,

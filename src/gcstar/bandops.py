@@ -59,9 +59,6 @@ class Diagonal:
                 return v
         return self.limit_minus if n < 0 else self.limit_plus
 
-    def core_dict(self):
-        return dict(self.core)
-
     def is_trivial(self):
         return (self.limit_minus == 0 and self.limit_plus == 0 and
                 all(v == 0 for _, v in self.core))

@@ -77,12 +77,6 @@ class ArrowFunction:
     def support(self):
         return frozenset(self.values)
 
-    def restrict_to(self, subgroupoid):
-        """The same table read over a reduction (ids are shared)."""
-        keep = set(subgroupoid.arrows)
-        return ArrowFunction(subgroupoid,
-                             {g: v for g, v in self.values.items() if g in keep})
-
     def extend_to(self, parent):
         """The same table read over a larger groupoid containing these ids."""
         return ArrowFunction(parent, self.values)
@@ -119,21 +113,6 @@ def convolve(f, g):
 
 def involution(f):
     return f.star()
-
-
-@dataclass(frozen=True)
-class FiberVector:
-    """An element of the fiber space at ``unit``: coefficients on d^{-1}(unit)."""
-
-    unit: object
-    coefficients: tuple  # pairs (arrow id, complex)
-
-    def to_array(self, basis):
-        index = {g: i for i, g in enumerate(basis)}
-        v = np.zeros(len(basis), dtype=complex)
-        for g, c in self.coefficients:
-            v[index[g]] = c
-        return v
 
 
 @dataclass(frozen=True)

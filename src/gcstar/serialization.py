@@ -227,9 +227,5 @@ def gluing_family_from_dict(data, base_dir="."):
     return GluingFamily(cover, pieces, isos)
 
 
-def save_gluing_family(path, family):
-    dump_json(path, gluing_family_to_dict(family))
-
-
 def load_gluing_family(path):
     return gluing_family_from_dict(load_json(path), base_dir=os.path.dirname(path) or ".")
