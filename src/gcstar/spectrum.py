@@ -349,7 +349,7 @@ def _verify_blocks(dec):
               + np.einsum("kij,kij->k", R.imag, R.imag))  # r_g^2, no temporaries
         if np.max(r2, initial=0.0) > BLOCK_TOL ** 2:
             raise AmbiguityError(f"block {b.label} is not invariant under "
-                                 f"the generators")
+                                 f"the generators; its map fails multiplicativity")
         if np.linalg.matrix_rank(X.reshape(n, -1), tol=BLOCK_TOL) != b.dim ** 2:
             raise AmbiguityError(f"block {b.label} is not irreducible; "
                                  f"re-run with a different seed")

@@ -166,14 +166,20 @@ def test_verify_blocks_rejects_a_reducible_block():
         _verify_blocks(fake)
 
 
+def pair_block_and_characters(dec):
+    """The two-dimensional block of disjoint_pair_z2 and the isometry (6 x 2)
+    of its two characters, which lives on the fiber of the other orbit."""
+    pair = next(b for b in dec.blocks if b.dim == 2)
+    P = np.hstack([b.isometry for b in dec.blocks if b.dim == 1])
+    assert np.max(np.abs(P.conj().T @ pair.isometry)) < 1e-12
+    return pair, P
+
+
 def test_verify_blocks_rejects_a_subspace_rotated_off_its_orbit():
     G = disjoint_pair_z2()
     dec = block_decomposition(G, seed=1)
     _verify_blocks(dec)
-    pair = next(b for b in dec.blocks if b.dim == 2)
-    # an orthonormal pair of vectors on the fiber of the other orbit
-    P = np.hstack([b.isometry for b in dec.blocks if b.dim == 1])
-    assert np.max(np.abs(P.conj().T @ pair.isometry)) < 1e-12
+    pair, P = pair_block_and_characters(dec)
     theta = 1e-6
     Q = np.cos(theta) * pair.isometry + np.sin(theta) * P  # still an isometry
     fake = BlockDecomposition(dec.algebra, (replace(pair, isometry=Q),))
@@ -181,12 +187,48 @@ def test_verify_blocks_rejects_a_subspace_rotated_off_its_orbit():
         _verify_blocks(fake)
 
 
-def test_verify_blocks_rejects_a_non_isometry():
-    dec = block_decomposition(pair3(), seed=1)
+@pytest.mark.parametrize("tamper, message", [
+    # every image scaled by 4, as Q* Q = 4I
+    (lambda Q, P: 2 * Q, "not an isometry"),
+    # an isometry half on each orbit: the image of the unit at 1 is halved,
+    # self-adjoint but no longer idempotent
+    (lambda Q, P: (Q + P) / np.sqrt(2), "fails multiplicativity$"),
+])
+def test_verify_blocks_rejects_tampered_images(tamper, message):
+    G = disjoint_pair_z2()
+    dec = block_decomposition(G, seed=1)
     _verify_blocks(dec)
-    b = dec.blocks[0]
-    fake = BlockDecomposition(dec.algebra, (replace(b, isometry=2 * b.isometry),))
-    with pytest.raises(AmbiguityError, match="not an isometry"):
+    pair, P = pair_block_and_characters(dec)
+    Q = tamper(pair.isometry, P)
+    X = dec.algebra.images(Q)
+    u = G.arrows.index(G.unit_arrow["1"])
+    assert np.max(np.abs(X[u] - X[u].conj().T)) < 1e-12
+    assert np.max(np.abs(X[u] @ X[u] - X[u])) > 0.1
+    fake = BlockDecomposition(dec.algebra, (replace(pair, isometry=Q),))
+    with pytest.raises(AmbiguityError, match=message):
+        _verify_blocks(fake)
+
+
+def test_verify_blocks_rejects_a_nonzero_product_outside_the_table():
+    G = disjoint_pair_z2()
+    dec = block_decomposition(G, seed=1)
+    _verify_blocks(dec)
+    pair, P = pair_block_and_characters(dec)
+    # the trivial character of the group part mixed into one column of the
+    # pair block: still an isometry, but the products across the two orbits
+    # are no longer killed
+    trivial = max((b for b in dec.blocks if b.dim == 1),
+                  key=lambda b: sum(b.traces).real).isometry[:, 0]
+    Q = pair.isometry.copy()
+    Q[:, 1] = (Q[:, 1] + trivial) / np.sqrt(2)
+    assert np.max(np.abs(Q.conj().T @ Q - np.eye(2))) < 1e-12
+    X = dict(zip(G.arrows, dec.algebra.images(Q)))
+    across = max(np.max(np.abs(X[a] @ X[b]))
+                 for a, b in itertools.product(G.arrows, repeat=2)
+                 if G.try_compose(a, b) is None)
+    assert across > 0.1
+    fake = BlockDecomposition(dec.algebra, (replace(pair, isometry=Q),))
+    with pytest.raises(AmbiguityError, match="not invariant"):
         _verify_blocks(fake)
 
 
