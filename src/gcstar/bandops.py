@@ -25,17 +25,46 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvals_banded
+from scipy.linalg.lapack import zpbtrf
 
-from .errors import GridRefinementNeeded, InputError
+from .errors import AmbiguityError, GridRefinementNeeded, InputError
 
 DEFAULT_GRID = 4096
 DEFAULT_SYMBOL_TOL = 1e-8
 DEFAULT_SECTION_EPS = 1e-6
 
-# Finite-section heuristic calibration: besides the eps-count, each section
-# also counts singular values below this fraction of the operator norm; a
-# symbol touching zero fills that window at a rate proportional to the
-# section size, while discrete near-zero states contribute a bounded count.
+# Rounding floors of the finite-section counts, u the unit roundoff:
+# * Sturm sweep (Hermitian tridiagonal sections): the count is exact for a
+#   tridiagonal whose off-diagonal entries differ by at most ~2.5u relatively
+#   (Kahan 1966; Demmel, Applied Numerical Linear Algebra, section 5.3), so
+#   only an eigenvalue within ~5u ||A|| of -t or t can fall on the wrong side.
+# * Block Sturm on the Golub-Kahan dilation (all other bands): each step is
+#   backward stable up to ~b u ||C|| for the Schur complement C it
+#   diagonalises, and carrying every direction whose update would exceed
+#   PIVOT_GROWTH ||A|| keeps ||C|| below ~b PIVOT_GROWTH ||A||, so only a
+#   singular value within ~b^2 PIVOT_GROWTH u ||A|| of t (4e-12 ||A|| for the
+#   block size b = 6 of bandwidth 2) can be miscounted.
+# Both sit far below DEFAULT_SECTION_EPS; counting on A*A would square the
+# floor to ~sqrt(n u) ||A||, 5e-7 ||A|| at N = 1024.
+# An eliminated Schur-complement eigenvalue of modulus at most
+# SCHUR_PIVOT_TOL * dim(C) * max(||A||, largest eliminated modulus) has no
+# determinable sign at that floor: the sweep raises AmbiguityError.
+SCHUR_PIVOT_TOL = 8 * np.finfo(float).eps
+PIVOT_GROWTH = 1e3
+
+# The window count rests on two results on finite sections of band
+# operators.  Singular-value splitting (Boettcher-Silbermann, Introduction
+# to Large Truncated Toeplitz Matrices, 1999, ch. 4; Lindner, Infinite
+# Matrices and their Finite Sections, 2006): if A is Fredholm, a bounded
+# number of the singular values of its sections -- index and core
+# artifacts -- may tend to zero while all others stay above a positive
+# bound.  Avram-Parter distribution (Boettcher-Silbermann ch. 5): the
+# singular values of the sections are distributed like the moduli of the
+# limit symbols, half the section in each limit regime, so the count below
+# a threshold t grows in proportion to N as soon as a limit symbol dips
+# below t on an arc.  A window of MODERATE_FRACTION * ||A|| separates the
+# two cases for every operator whose limit symbols either reach zero or
+# stay above the window.
 MODERATE_FRACTION = 0.02
 
 
@@ -140,27 +169,34 @@ class BandOperator:
                 M[i + N, i - k + N] = d.value(i)
         return M
 
+    def section_coefficients(self, N):
+        """The (2w + 1, 2N + 1) table whose row k + w holds c_k(i), i in [-N, N]."""
+        w = self.bandwidth
+        rows = np.arange(-N, N + 1)
+        table = np.zeros((2 * w + 1, 2 * N + 1), dtype=complex)
+        for k, d in self.diagonals.items():
+            c = table[k + w]
+            c[:] = np.where(rows < 0, d.limit_minus, d.limit_plus)
+            for i, v in d.core:
+                if -N <= i <= N:
+                    c[i + N] = v
+        return table
+
     def gram_banded(self, N):
         """Upper band storage of the Gram matrix of the finite section.
 
         Returns (bands, size) with bands in the layout scipy's banded
-        eigensolvers expect; the Gram matrix A*A has bandwidth 2w.  Row i
+        solvers expect; the Gram matrix A*A has bandwidth 2w.  Row i
         holds c_k(i) in column i - k, so the pair of offsets k1 >= k2 adds
         conj(c_k1(i)) c_k2(i) to the entry (i - k1, i - k2).
         """
         n = 2 * N + 1
         w = self.bandwidth
-        rows = np.arange(-N, N + 1)
-        coeffs = {}
-        for k, d in self.diagonals.items():
-            c = np.where(rows < 0, d.limit_minus, d.limit_plus)
-            for i, v in d.core:
-                if -N <= i <= N:
-                    c[i + N] = v
-            coeffs[k] = c
+        coeffs = self.section_coefficients(N)
         bands = np.zeros((2 * w + 1, n), dtype=complex)
-        for k1, c1 in coeffs.items():
-            for k2, c2 in coeffs.items():
+        for k1 in self.diagonals:
+            for k2 in self.diagonals:
+                c1, c2 = coeffs[k1 + w], coeffs[k2 + w]
                 lo, hi = max(-N, k1 - N), min(N, k2 + N)
                 if k1 >= k2 and lo <= hi:
                     # upper storage: bands[u + j1 - j2, j2] with u = 2w
@@ -392,14 +428,213 @@ class FiniteSectionReport:
     flag: str               # CONSISTENT-FREDHOLM / CONSISTENT-NONFREDHOLM / INCONCLUSIVE
 
 
+def _sturm_count(diag, off2, shift, pivmin):
+    """Eigenvalues <= shift of a real symmetric tridiagonal: one Sturm sweep.
+
+    ``off2[i]`` is the squared coupling of rows i - 1 and i (off2[0] = 0).
+    A pivot below pivmin in modulus becomes -pivmin (Kahan's rule), so a
+    zero pivot neither divides by zero nor loses its count.
+    """
+    count, d = 0, 1.0
+    for a, e2 in zip(diag, off2):
+        d = a - shift - e2 / d
+        if abs(d) < pivmin:
+            d = -pivmin
+        if d < 0:
+            count += 1
+    return count
+
+
+def _hermitian_sections(A, sizes):
+    """Norm and counter of Hermitian tridiagonal sections, by Sturm sweeps.
+
+    A diagonal unitary similarity turns every coupling c_1(i) into |c_1(i)|,
+    so a section is real symmetric and #{sigma <= t} = #{lambda <= t} -
+    #{lambda <= -t}.  The norm is the larger modulus of the two ends of the
+    largest section's spectrum.
+    """
+    w, sweeps = A.bandwidth, []
+    for N in sizes:
+        c = A.section_coefficients(N)
+        diag = c[w].real.copy()
+        off = np.abs(c[w + 1]) if w else np.zeros(diag.size)
+        off[0] = 0.0                    # row -N couples to nothing above it
+        sweeps.append((diag, off * off))
+    band = np.array([off, diag])        # upper storage of the largest section
+    norm = max(abs(eigvals_banded(band, select="i", select_range=(i, i))[0])
+               for i in (0, diag.size - 1))
+
+    def counts(thresholds):
+        out = [[] for _ in thresholds]
+        for diag, off2 in sweeps:
+            pivmin = np.finfo(float).tiny * max(1.0, float(off2.max()))
+            diag, off2 = diag.tolist(), off2.tolist()
+            for row, t in zip(out, thresholds):
+                row.append(_sturm_count(diag, off2, t, pivmin)
+                           - _sturm_count(diag, off2, -t, pivmin))
+        return out
+
+    return float(norm), counts
+
+
+def _gram_norm(A, N):
+    """Largest singular value of the section, by bisection on A*A.
+
+    Banded Cholesky (zpbtrf) of lam*I - A*A succeeds exactly when lam
+    exceeds the top Gram eigenvalue, up to 2w*u*||A||^2: squaring costs
+    nothing at the top of the spectrum.  The bracket runs from the largest
+    squared column norm to (sum_k max|c_k|)^2 >= ||A||_1 ||A||_inf.
+    """
+    bands, _ = A.gram_banded(N)
+    lo = float(bands[-1].real.max())
+    hi = sum(max(abs(d.limit_minus), abs(d.limit_plus), *(abs(v) for _, v in d.core))
+             for d in A.diagonals.values()) ** 2
+    np.negative(bands, out=bands)
+    while hi - lo > np.finfo(float).eps * hi:
+        mid = 0.5 * (lo + hi)
+        trial = bands.copy()
+        trial[-1] += mid
+        if zpbtrf(trial, overwrite_ab=1)[1] == 0:
+            hi = mid
+        else:
+            lo = mid
+    return float(np.sqrt(hi))
+
+
+def _dilation_blocks(A, sizes, thresholds, norm):
+    """The blocks of H + tI, for every size and threshold, step by step.
+
+    H is the interleaved Golub-Kahan dilation of a section, with unknowns
+    x_0, y_0, x_1, y_1, ... and H[x_i, y_j] = A[i, j]: Hermitian of
+    bandwidth 2w + 1, so block tridiagonal in blocks of b = 2(w + 1).
+    Yields per block k the diagonal block D_k + tI, shaped (sizes,
+    thresholds, b, b), and the coupling H[block k + 1, block k], shaped
+    (sizes, b, b), or None at the last block.  A section that ends inside a
+    block is padded there with decoupled diagonal entries equal to the
+    norm.  The blocks are read from one table of the diagonals, 32 steps at
+    a time, so their memory stays O(32 b^2) per size and threshold.
+    """
+    w = A.bandwidth
+    m, b = w + 1, 2 * w + 2             # section rows and unknowns per block
+    S, T, Nmax, chunk = len(sizes), len(thresholds), sizes[-1], 32
+    n_blocks = 2 * Nmax // m + 1
+    table = A.section_coefficients(Nmax)   # table[d + w, i + Nmax] = c_d(i)
+    offsets = np.arange(-w, w + 1)[:, None]
+    # the x-row p of a block meets the y-column p - d, counted from that
+    # block, inside the three blocks k - 1, k, k + 1
+    p, d = np.meshgrid(np.arange(m), offsets)
+    scatter = (2 * p * 3 * b + 2 * (p - d + m) + 1).ravel()
+    for k0 in range(0, n_blocks, chunk):
+        K = min(chunk, n_blocks - k0)
+        r = np.arange(k0 * m, (k0 + K + 1) * m)          # section rows
+        coef = np.zeros((S, 2 * w + 1, r.size), dtype=complex)
+        for s, N in enumerate(sizes):
+            # A_N[r, r - d] = c_d(r - N), zero unless row and column are inside
+            inside = (r < 2 * N + 1) & (r - offsets >= 0) & (r - offsets <= 2 * N)
+            coef[s] = np.where(inside, table[:, np.clip(r - N + Nmax, 0, 2 * Nmax)], 0)
+        F = np.zeros((S, K + 1, b * 3 * b), dtype=complex)
+        F[:, :, scatter] = (coef.reshape(S, 2 * w + 1, K + 1, m)
+                            .transpose(0, 2, 1, 3).reshape(S, K + 1, -1))
+        F = F.reshape(S, K + 1, b, 3 * b)
+        mid = F[:, :K, :, b:2 * b]
+        D = np.repeat((mid + mid.conj().swapaxes(2, 3))[:, :, None], T, axis=2)
+        rows = np.repeat(r[:K * m], 2).reshape(K, b)
+        D.reshape(S, K, T, b * b)[..., ::b + 1] += np.where(
+            rows < 2 * np.array(sizes)[:, None, None, None] + 1,
+            np.reshape(thresholds, (T, 1, 1)), norm).swapaxes(1, 2)
+        L = F[:, 1:, :, :b] + F[:, :K, :, 2 * b:].conj().swapaxes(2, 3)
+        for j in range(K):
+            yield D[:, j], (L[:, j] if k0 + j + 1 < n_blocks else None)
+
+
+def _negative_pivots(vals, floor, norm, k):
+    """Negative eliminated eigenvalues per row; a pivot on its floor raises."""
+    size = np.abs(vals)
+    if size.size and size.min() <= floor * max(norm, size.max()):
+        if np.any(size.min(-1) <= floor * np.maximum(norm, size.max(-1))):
+            raise AmbiguityError(
+                f"block Schur complement {k} of the section dilation is "
+                f"singular to working precision (pivot {size.min():.3g})")
+    return (vals < 0).sum(-1)
+
+
+def _dilation_counts(A, sizes, thresholds, norm):
+    """#{sigma <= t} of every section and threshold, by block Sturm.
+
+    The dilation H has eigenvalues +-sigma, so #{sigma <= t} =
+    n - neg(H + tI).  Each step diagonalises the current Schur complement C
+    (the next diagonal block minus the updates of eliminated directions,
+    bordered by the directions carried over) and eliminates its
+    eigendirections; by Haynsworth additivity each adds its sign to
+    neg(H + tI).  A direction whose update ||y||^2 / |lambda| on the next
+    block would exceed PIVOT_GROWTH * ||A|| is carried into the next step
+    instead: pivoting in the eigenbasis, which bounds the growth of C.
+    All (size, threshold) pairs share one batched sweep, and a section
+    leaves the batch after its last block.
+    """
+    S, T = len(sizes), len(thresholds)
+    b = 2 * A.bandwidth + 2
+    last = [2 * N // (A.bandwidth + 1) for N in sizes]   # block of row 2N
+    negative = np.zeros((S, T), dtype=int)
+    s0, update, lam, Yc = 0, 0.0, None, None     # lam, Yc: carried directions
+    rows, cols = np.arange(S)[:, None, None], np.arange(T)[None, :, None]
+    for k, (D, L) in enumerate(_dilation_blocks(A, sizes, thresholds, norm)):
+        C = D[s0:] - update
+        r = 0 if lam is None else lam.shape[-1]
+        if r:
+            n = r + b
+            B = np.zeros(C.shape[:2] + (n, n), dtype=complex)
+            B[:, :, r:, r:] = C
+            B[:, :, r:, :r] = Yc.swapaxes(2, 3)
+            B[:, :, :r, r:] = Yc.conj()
+            B.reshape(C.shape[:2] + (n * n,))[:, :, :r * (n + 1):n + 1] = lam
+            C = B
+        vals, vecs = np.linalg.eigh(C)
+        floor = SCHUR_PIVOT_TOL * C.shape[-1]
+        done = last[s0:].count(k)
+        if done:                                 # these sections end here
+            negative[s0:s0 + done] += _negative_pivots(vals[:done], floor, norm, k)
+            s0 += done
+            if s0 == S:
+                break
+            vals, vecs = vals[done:], vecs[done:]
+        # row j: the coupling of eigendirection j to the next block
+        Yt = vecs[:, :, r:].swapaxes(2, 3) @ L[s0:].swapaxes(1, 2)[:, None]
+        defer = (np.abs(Yt) ** 2).sum(-1) > PIVOT_GROWTH * norm * np.abs(vals)
+        lam = None
+        if defer.any():
+            r = int(defer.sum(-1).max())
+            if r > 4 * b:               # bounds the cost of a step
+                raise AmbiguityError(
+                    f"{r} ill-conditioned directions at block {k} of the "
+                    "section dilation")
+            # deferred directions first; the first r of each row are carried
+            at = (rows[:S - s0], cols, np.argsort(~defer, axis=-1, kind="stable"))
+            vals, Yt = vals[at], Yt[at]
+            lam, Yc, vals, Yt = vals[..., :r], Yt[:, :, :r], vals[..., r:], Yt[:, :, r:]
+        negative[s0:] += _negative_pivots(vals, floor, norm, k)
+        update = (Yt / vals[..., None]).swapaxes(2, 3) @ Yt.conj()
+    return [[2 * N + 1 - int(negative[s, t]) for s, N in enumerate(sizes)]
+            for t in range(T)]
+
+
 def finite_section_analysis(A, sizes, eps=DEFAULT_SECTION_EPS):
     """Three-valued truncation diagnostics for the Fredholm verdict.
 
     Each section over [-N, N] contributes the number of singular values
     below eps and the number below a moderate window (a fixed small fraction
-    of the operator norm).  Each section costs one full banded eigenvalue
-    solve of its Gram matrix; both counts, and the norm at the largest size,
-    are read off that sorted spectrum.  The flag is a heuristic:
+    of the operator norm).  Both are inertia counts, read without computing
+    a singular value:
+
+    * a Hermitian tridiagonal operator counts the eigenvalues of each
+      section in [-t, t] by two Sturm sweeps, and takes the norm from the
+      two ends of the largest section's spectrum;
+    * any other band counts the negative eigenvalues of its Golub-Kahan
+      dilation shifted by t with one batched block Sturm sweep over all
+      sizes and thresholds, and takes the norm by bisection with banded
+      Cholesky on the Gram matrix of the largest section.
+
+    The flag is a heuristic:
 
     * either count strictly increasing -> CONSISTENT-NONFREDHOLM (the
       window fills at a rate proportional to the section size exactly when
@@ -413,6 +648,8 @@ def finite_section_analysis(A, sizes, eps=DEFAULT_SECTION_EPS):
     The window count supplements the raw eps-count because at moderate
     section sizes a symbol touching zero produces singular values that
     approach zero only like 1/N, which a tiny fixed eps cannot yet see.
+    A block Schur complement that is singular to working precision raises
+    AmbiguityError instead of guessing a count.
     """
     sizes = [int(N) for N in sizes]
     if sorted(sizes) != sizes or len(sizes) < 2:
@@ -422,16 +659,16 @@ def finite_section_analysis(A, sizes, eps=DEFAULT_SECTION_EPS):
     if sizes[0] <= needed:
         raise InputError(f"smallest size must exceed {needed} for this operator")
 
-    spectra = [eigvals_banded(A.gram_banded(N)[0]) for N in sizes]
-    scale = float(np.sqrt(max(spectra[-1][-1], 0.0)))
+    if A.bandwidth <= 1 and A.is_selfadjoint():
+        scale, count = _hermitian_sections(A, sizes)
+    else:
+        scale = _gram_norm(A, sizes[-1])
+
+        def count(thresholds):
+            return _dilation_counts(A, sizes, thresholds, scale)
+
     window = max(MODERATE_FRACTION * scale, 4.0 * eps)
-
-    def below(threshold):
-        # Gram eigenvalues in (-1, threshold**2], per size
-        t = float(threshold) ** 2
-        return [int(np.count_nonzero((vals > -1.0) & (vals <= t))) for vals in spectra]
-
-    counts, window_counts = below(eps), below(window)
+    counts, window_counts = count((eps, window))
 
     def growing(seq):
         return all(b > a for a, b in zip(seq, seq[1:]))

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from gcstar import bandops
 from gcstar.bandops import (BandOperator, Diagonal, LaurentSymbol,
                             finite_section_analysis, fredholm_verdict,
                             limit_operator, locality_check, symbol_invertible)
-from gcstar.errors import GridRefinementNeeded, InputError
+from gcstar.errors import AmbiguityError, GridRefinementNeeded, InputError
 from gcstar.fixtures import laplacian_band, shifted_laplacian_band
 from gcstar.randgen import (random_band_operator, random_core_perturbation,
                             random_selfadjoint_tridiagonal, rng_from_seed)
@@ -214,6 +217,111 @@ def test_finite_section_counts_match_dense_singular_values():
         assert report.window_counts == tuple(int(np.sum(s <= report.window))
                                              for s in svals)
         assert abs(report.norm_estimate - svals[-1].max()) < 1e-9
+
+
+def _dense_section_check(A, steps, eps):
+    """The report against dense singular values, away from the thresholds.
+
+    The sizes start just above the precondition and grow by ``steps``.
+    """
+    lo, hi = A.core_window()
+    sizes = [4 * (max(abs(lo), abs(hi), 1) + A.bandwidth) + 1]
+    sizes += [sizes[0] + step for step in steps]
+    report = finite_section_analysis(A, sizes, eps)
+    svals = [np.linalg.svd(A.truncation(N), compute_uv=False) for N in sizes]
+    for t in (eps, report.window):
+        # a singular value within rounding of a threshold has no right count
+        assume(all(np.min(np.abs(s - t)) > 1e-9 * max(1.0, s[0]) for s in svals))
+    assert report.counts == tuple(int(np.sum(s <= eps)) for s in svals)
+    assert report.window_counts == tuple(int(np.sum(s <= report.window))
+                                         for s in svals)
+    assert abs(report.norm_estimate - svals[-1][0]) < 1e-9
+
+
+def test_finite_sections_resolve_exact_zeros_below_the_gram_floor():
+    # offsets -2 and 2 only: each section splits into two chains, and the
+    # odd one has an exact zero singular value; eps = 1e-9 lies below the
+    # squared Gram spectrum's floor, where that zero reads as about 1.4e-8
+    A = BandOperator.from_limits({-2: (1.5, -0.5j), 2: (2j, 0.25)},
+                                 core={2: {-1: 3.0, 1: -1j}, -2: {0: 4.0}})
+    sizes = (24, 48, 96)
+    report = finite_section_analysis(A, sizes, 1e-9)
+    svals = [np.linalg.svd(A.truncation(N), compute_uv=False) for N in sizes]
+    expected = tuple(int(np.sum(s <= 1e-9)) for s in svals)
+    assert min(expected) >= 1
+    assert report.counts == expected
+
+
+# coefficients on a quarter grid, so exact zeros and exact kernels occur
+_grid = st.integers(-8, 8).map(lambda i: i / 4)
+_coefficient = st.builds(complex, _grid, _grid)
+
+
+@st.composite
+def _band_operators(draw, offsets, hermitian):
+    """Limits and a core in [-3, 3] for each offset, adjoint added if asked."""
+    diags = {}
+    for k in offsets:
+        lm, lp = draw(_coefficient), draw(_coefficient)
+        core = draw(st.dictionaries(st.integers(-3, 3), _coefficient, max_size=3))
+        if hermitian and k == 0:        # a real diagonal
+            lm, lp, core = lm.real, lp.real, {i: v.real for i, v in core.items()}
+        diags[k] = Diagonal(lm, lp, tuple(core.items()))
+    A = BandOperator(diags)
+    if hermitian:
+        off = BandOperator({k: d for k, d in A.diagonals.items() if k > 0})
+        A = BandOperator({0: A.diagonals.get(0, Diagonal())}) + off + off.adjoint()
+        assert A.is_selfadjoint()
+    return A
+
+
+_steps = st.sampled_from([(11, 27), (16,)])
+_eps = st.sampled_from([1e-6, 1e-9, 0.3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_band_operators((0, 1), hermitian=True), _steps, _eps)
+def test_hermitian_tridiagonal_sections_match_dense(A, steps, eps):
+    _dense_section_check(A, steps, eps)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_band_operators((0, 1, 2), hermitian=True), _steps, _eps)
+def test_hermitian_bandwidth_two_sections_match_dense(A, steps, eps):
+    _dense_section_check(A, steps, eps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_band_operators((-1, 0, 1), hermitian=False),
+                 _band_operators((-2, -1, 0, 1, 2), hermitian=False)),
+       _steps, _eps)
+def test_general_band_sections_match_dense(A, steps, eps):
+    _dense_section_check(A, steps, eps)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_coefficient.filter(lambda c: c != 0), st.sampled_from([0, 1, -1]),
+       _steps, _eps)
+def test_scaled_identity_and_shift_sections_match_dense(c, k, steps, eps):
+    # bandwidth 0 takes the Sturm path when c is real, the dilation if not
+    _dense_section_check(BandOperator.toeplitz({k: c}), steps, eps)
+
+
+def test_singular_block_schur_complement_raises():
+    # |c_0| = 0.5 everywhere and not self-adjoint: with eps = 0.5 every
+    # 2x2 block of the dilation shifted by 0.5 is exactly singular
+    A = BandOperator.from_limits({0: (0.5, 0.5j)})
+    with pytest.raises(AmbiguityError):
+        finite_section_analysis(A, [8, 16], 0.5)
+
+
+def test_carried_directions_stay_bounded(monkeypatch):
+    # with no growth allowed every coupled direction is carried, and the
+    # sweep stops once more than four blocks' worth pile up
+    monkeypatch.setattr(bandops, "PIVOT_GROWTH", 0.0)
+    with pytest.raises(AmbiguityError, match="ill-conditioned directions"):
+        finite_section_analysis(BandOperator.toeplitz({1: 1.0, 0: 0.5j}),
+                                [64, 128], 1e-6)
 
 
 def test_finite_sections_identity():
