@@ -89,7 +89,7 @@ class ArrowFunction:
         return max(abs(self(g) - other(g)) for g in keys)
 
     def _same_parent(self, other):
-        if set(self.parent.arrows) != set(other.parent.arrows):
+        if self.parent.arrows != other.parent.arrows:  # sorted and distinct
             raise InputError("arrow functions live on different groupoids")
 
     def __repr__(self):
@@ -99,16 +99,23 @@ class ArrowFunction:
 def convolve(f, g):
     """Convolution product with counting measure on the fibers."""
     f._same_parent(g)
-    G = f.parent
-    out = {}
-    for y, gv in g.values.items():
-        # x = z * y for z with dom(z) = ran(y); then x y^{-1} = z.
-        for z, fv in f.values.items():
-            if G.dom[z] != G.ran[y]:
-                continue
-            x = G.compose_table[(z, y)]
-            out[x] = out.get(x, 0j) + fv * gv
-    return ArrowFunction(G, out)
+    G, T = f.parent, f.parent.table
+    # x = z y for z with dom(z) = ran(y); then x y^{-1} = z.  Terms run y
+    # outer, z inner; each x sums its terms, and is listed, in that order.
+    products = T.product[T.positions(f.values), T.positions(g.values)[:, None]]
+    y, z = np.nonzero(products >= 0)
+    xs = products[y, z]
+    fv, gv = _parts(f), _parts(g)
+    # Python's complex product, spelled out so every term rounds the same way
+    re = np.bincount(xs, fv.real[z] * gv.real[y] - fv.imag[z] * gv.imag[y], G.n_arrows())
+    im = np.bincount(xs, fv.real[z] * gv.imag[y] + fv.imag[z] * gv.real[y], G.n_arrows())
+    _, first = np.unique(xs, return_index=True)
+    return ArrowFunction(G, {G.arrows[x]: complex(re[x], im[x])
+                             for x in xs[np.sort(first)].tolist()})
+
+
+def _parts(f):
+    return np.fromiter(f.values.values(), complex, len(f.values))
 
 
 def involution(f):
@@ -136,16 +143,13 @@ def regular_rep(G, x, f):
     """
     if x not in G.units:
         raise InputError(f"{x!r} is not a unit")
-    basis = G.fiber(x)
-    index = {g: i for i, g in enumerate(basis)}
+    basis, T = G.fiber(x), G.table
+    fiber = T.positions(basis)
+    # f(g y^{-1}) with g = z y: cell (z y, y) gets f(z); z y = z' y forces z = z'
+    products = T.product[T.positions(f.values)[:, None], fiber]
+    z, y = np.nonzero(products >= 0)
     M = np.zeros((len(basis), len(basis)), dtype=complex)
-    for y in basis:
-        # f(g y^{-1}) with g = z y ranges over z in the fiber of ran(y)
-        for z, fv in f.values.items():
-            if G.dom[z] != G.ran[y]:
-                continue
-            g = G.compose_table[(z, y)]
-            M[index[g], index[y]] += fv
+    M[np.searchsorted(fiber, products[z, y]), y] += _parts(f)[z]
     return RepMatrix(basis, M)
 
 

@@ -13,15 +13,19 @@ Conventions used throughout the package:
   a bijection from d^{-1}(ran g) onto d^{-1}(dom g), which is exactly the
   invariance the counting measures need.
 
-Structure tables are stored as plain dicts and never mutated after
-construction; all operations in this package treat groupoids (and groups)
+Structure tables are dicts keyed by arrow id, read in bulk through their one
+integer view :attr:`FiniteGroupoid.table`; neither is mutated after
+construction.  All operations in this package treat groupoids (and groups)
 as immutable values, so concurrent evaluation is safe.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InputError
 
@@ -132,15 +136,12 @@ class FiniteGroupoid:
         if set(self.ran) != set(self.dom):
             raise InputError("dom and ran tables disagree on the arrow set")
         self._fiber = {x: [] for x in self.units}
-        self._cofiber = {x: [] for x in self.units}
         for g in self.arrows:
             d, r = self.dom[g], self.ran[g]
-            if d not in self._fiber or r not in self._cofiber:
+            if d not in self._fiber or r not in self._fiber:
                 raise InputError(f"arrow {g} has an endpoint outside the unit set")
             self._fiber[d].append(g)
-            self._cofiber[r].append(g)
         self._fiber = {x: tuple(v) for x, v in self._fiber.items()}
-        self._cofiber = {x: tuple(v) for x, v in self._cofiber.items()}
 
     # -- basic queries ----------------------------------------------------
 
@@ -153,10 +154,6 @@ class FiniteGroupoid:
     def fiber(self, x):
         """Arrows with domain x, i.e. d^{-1}(x), in ascending id order."""
         return self._fiber[x]
-
-    def cofiber(self, x):
-        """Arrows with range x, i.e. r^{-1}(x)."""
-        return self._cofiber[x]
 
     def hom(self, x, y):
         """Arrows from x to y (dom = x, ran = y)."""
@@ -177,8 +174,48 @@ class FiniteGroupoid:
     def is_unit_arrow(self, g):
         return self.unit_arrow.get(self.dom[g]) == g
 
+    @functools.cached_property
+    def table(self):
+        """The :class:`ArrowTable` of this groupoid, built on first use.
+
+        Needs well-formed tables (the ``tables`` phase of :func:`validate`).
+        """
+        position = {g: i for i, g in enumerate(self.arrows)}
+        unit_index = {x: i for i, x in enumerate(self.units)}
+        try:
+            pairs = _lookup(position, itertools.chain.from_iterable(self.compose_table))
+            product = np.full((len(position),) * 2, -1)
+            product[pairs[0::2], pairs[1::2]] = _lookup(position, self.compose_table.values())
+            return ArrowTable(position, _lookup(unit_index, map(self.dom.get, self.arrows)),
+                              _lookup(unit_index, map(self.ran.get, self.arrows)),
+                              _lookup(position, map(self.inverse.get, self.arrows)),
+                              _lookup(position, map(self.unit_arrow.get, self.units)),
+                              product)
+        except KeyError as exc:
+            raise InputError(f"structure tables name an unknown arrow or unit {exc}") from None
+
     def __repr__(self):
         return f"FiniteGroupoid({self.n_units()} units, {self.n_arrows()} arrows)"
+
+
+@dataclass(frozen=True, eq=False)
+class ArrowTable:
+    """The structure tables as integer arrays over arrow and unit positions."""
+
+    position: dict        # arrow id -> its index in G.arrows
+    dom: np.ndarray       # unit index of dom(g), per arrow position
+    ran: np.ndarray       # unit index of ran(g), per arrow position
+    inverse: np.ndarray   # position of the inverse, per arrow position
+    unit: np.ndarray      # position of the unit arrow, per unit index
+    product: np.ndarray   # n x n: position of arrows[i] * arrows[j], or -1
+
+    def positions(self, ids):
+        """Positions of the arrow ids ``ids``, as an int array."""
+        return _lookup(self.position, ids)
+
+
+def _lookup(index, keys):
+    return np.fromiter(map(index.__getitem__, keys), np.intp)
 
 
 # -- validation -----------------------------------------------------------
@@ -237,52 +274,65 @@ def validate(G):
     if bad:
         return ValidationReport(tuple(bad))
 
-    for x in G.units:
-        u = G.unit_arrow[x]
-        if G.dom[u] != x or G.ran[u] != x:
-            add("unit-endpoints", f"unit arrow {u} of {x!r} has endpoints "
-                f"({G.dom[u]!r},{G.ran[u]!r})")
+    # Every axiom below is one comparison on the integer view; Python only
+    # walks the flagged cells, in the order the report lists them.
+    T = G.table
+    P, ids = T.product, G.arrows
+    every, units = np.arange(len(ids)), np.arange(len(G.units))
 
-    for g in G.arrows:
-        gi = G.inverse[g]
-        if G.inverse[gi] != g:
-            add("inverse-involution", f"inverse(inverse({g})) = {G.inverse[gi]}")
-        if G.dom[gi] != G.ran[g] or G.ran[gi] != G.dom[g]:
-            add("inverse-endpoints", f"inverse({g}) = {gi} does not swap endpoints")
+    for x in np.flatnonzero((T.dom[T.unit] != units) | (T.ran[T.unit] != units)):
+        x, u = G.units[x], ids[T.unit[x]]
+        add("unit-endpoints", f"unit arrow {u} of {x!r} has endpoints "
+            f"({G.dom[u]!r},{G.ran[u]!r})")
 
-    for g in G.arrows:
-        for h in G.arrows:
-            defined = (g, h) in G.compose_table
-            composable = G.dom[g] == G.ran[h]
-            if defined and not composable:
-                add("compose-domain", f"({g},{h}) is in the table but dom({g}) != ran({h})")
-            if composable and not defined:
-                add("compose-domain", f"({g},{h}) is composable but not in the table")
-            if defined and composable:
-                k = G.compose_table[(g, h)]
-                if G.dom[k] != G.dom[h] or G.ran[k] != G.ran[g]:
-                    add("product-endpoints", f"{g}*{h} = {k} has wrong endpoints")
+    def per_arrow(*rules):  # flagged arrows in order, each with its rules in order
+        for i in np.flatnonzero(np.logical_or.reduce([fails for _, fails, _ in rules])):
+            g = ids[i]
+            for rule, fails, detail in rules:
+                if fails[i]:
+                    add(rule, detail.format(g=g, gi=G.inverse[g], gii=G.inverse[G.inverse[g]]))
 
-    for g in G.arrows:
-        ur = G.unit_arrow.get(G.ran[g])
-        ud = G.unit_arrow.get(G.dom[g])
-        if ur is not None and G.compose_table.get((ur, g)) != g:
-            add("unit-law", f"u(ran)*{g} != {g}")
-        if ud is not None and G.compose_table.get((g, ud)) != g:
-            add("unit-law", f"{g}*u(dom) != {g}")
-        gi = G.inverse[g]
-        if G.compose_table.get((g, gi)) != G.unit_arrow.get(G.ran[g]):
-            add("inverse-law", f"{g}*{g}^-1 != u(ran({g}))")
-        if G.compose_table.get((gi, g)) != G.unit_arrow.get(G.dom[g]):
-            add("inverse-law", f"{g}^-1*{g} != u(dom({g}))")
+    per_arrow(("inverse-involution", T.inverse[T.inverse] != every,
+               "inverse(inverse({g})) = {gii}"),
+              ("inverse-endpoints", (T.dom[T.inverse] != T.ran) | (T.ran[T.inverse] != T.dom),
+               "inverse({g}) = {gi} does not swap endpoints"))
 
-    for (g, h), gh in G.compose_table.items():
-        for k in G.cofiber(G.dom[h]):
-            hk = G.compose_table.get((h, k))
-            first = G.compose_table.get((gh, k))
-            second = G.compose_table.get((g, hk)) if hk is not None else None
-            if first != second:
-                add("associativity", f"({g}*{h})*{k} = {first} but {g}*({h}*{k}) = {second}")
+    defined = P >= 0
+    composable = T.dom[:, None] == T.ran[None, :]
+    # P = -1 reads the last arrow here; only defined cells are consulted
+    endpoints = (T.dom[P] == T.dom[None, :]) & (T.ran[P] == T.ran[:, None])
+    for i, j in np.argwhere((defined != composable) | (defined & ~endpoints)):
+        g, h = ids[i], ids[j]
+        if not composable[i, j]:
+            add("compose-domain", f"({g},{h}) is in the table but dom({g}) != ran({h})")
+        elif not defined[i, j]:
+            add("compose-domain", f"({g},{h}) is composable but not in the table")
+        else:
+            add("product-endpoints", f"{g}*{h} = {ids[P[i, j]]} has wrong endpoints")
+
+    per_arrow(("unit-law", P[T.unit[T.ran], every] != every, "u(ran)*{g} != {g}"),
+              ("unit-law", P[every, T.unit[T.dom]] != every, "{g}*u(dom) != {g}"),
+              ("inverse-law", P[every, T.inverse] != T.unit[T.ran], "{g}*{g}^-1 != u(ran({g}))"),
+              ("inverse-law", P[T.inverse, every] != T.unit[T.dom], "{g}^-1*{g} != u(dom({g}))"))
+
+    # (gh)k against g(hk) for every table entry (g, h) and k in cofiber(dom h),
+    # one gather per middle arrow h; an undefined product reads -1 (None).
+    cofibers = [np.flatnonzero(T.ran == x) for x in units]
+    failures = []
+    for j in range(len(ids)):
+        gs, ks = defined[:, j].nonzero()[0], cofibers[T.dom[j]]
+        hk = P[j, ks]
+        first = P[P[gs, j][:, None], ks]
+        second = np.where(hk >= 0, P[gs[:, None], hk], -1)
+        failures += [(gs[a], j, ks[b], first[a, b], second[a, b])
+                     for a, b in zip(*(first != second).nonzero())]
+    if failures:
+        rank = {pair: r for r, pair in enumerate(G.compose_table)}
+        failures.sort(key=lambda t: (rank[(ids[t[0]], ids[t[1]])], t[2]))
+    for i, j, k, first, second in failures:
+        g, h, k = ids[i], ids[j], ids[k]
+        first, second = (ids[p] if p >= 0 else None for p in (first, second))
+        add("associativity", f"({g}*{h})*{k} = {first} but {g}*({h}*{k}) = {second}")
 
     return ValidationReport(tuple(bad))
 
@@ -578,8 +628,9 @@ class GroupoidMorphism:
         for x, y in self.unit_map.items():
             if y not in T.units:
                 bad.append(f"unit {x!r} maps outside the target units")
+        target_arrows = set(T.arrows)
         for g, k in self.arrow_map.items():
-            if k not in set(T.arrows):
+            if k not in target_arrows:
                 bad.append(f"arrow {g} maps outside the target arrows")
                 return bad
             if T.dom[k] != self.unit_map[S.dom[g]]:
@@ -617,7 +668,7 @@ class GroupoidMorphism:
 
     def then(self, other):
         """The composite ``other after self`` (self first)."""
-        if other.source is not self.target and set(other.source.arrows) != set(self.target.arrows):
+        if other.source is not self.target and other.source.arrows != self.target.arrows:
             raise InputError("morphisms are not composable")
         return GroupoidMorphism(
             self.source, other.target,

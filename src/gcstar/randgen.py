@@ -4,8 +4,8 @@ Every generator takes a numpy Generator; identical seeds give identical
 instances.  Random groupoids are disjoint unions of transitive pieces, each
 a pair groupoid times a cyclic isotropy group, with unit labels and arrow
 ids shuffled afterwards so nothing downstream can lean on the construction
-order.  (Up to isomorphism every finite transitive groupoid is of this
-product form, so shuffled unions exhaust the finite groupoids.)
+order.  Only cyclic isotropy is drawn, so the draws cover the finite
+groupoids with cyclic isotropy groups, not all of them (item 5 of ROADMAP.md).
 """
 
 from __future__ import annotations

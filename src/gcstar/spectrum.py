@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convolution import ArrowFunction, regular_rep, reduced_norm
+from .convolution import ArrowFunction, reduced_norm
 from .errors import AmbiguityError, CoverPreconditionError, InputError
 from .groupoid import UnionFind, orbits, reduction, saturation, validate
 
@@ -52,23 +52,20 @@ MULTIPLICITY_TOL = 1e-6
 class ConcreteAlgebra:
     """A faithful matrix model: one regular representation per orbit, summed.
 
-    The generator A_g of arrow g is the partial permutation e_(x, y) ->
-    e_(x, g y) on the fiber arrows y with ran(y) = dom(g).  It is held as the
-    row and column of each of its entries, one table row per arrow in arrow
-    order, padded with the index dim (a zero row in ``images``).
+    The coordinates are the fiber arrows y of the base units (``coordinate``
+    numbers them by arrow position, -1 elsewhere); A_g is the partial
+    permutation e_y -> e_(g y) on those with ran(y) = dom(g), held as the row
+    and column of each entry, one table row per arrow in arrow order, padded
+    with the index dim (a zero row in ``images``).
     """
 
-    def __init__(self, groupoid, base_units, positions, entry_rows, entry_cols):
+    def __init__(self, groupoid, bases, coordinate, entry_row, entry_col):
         self.groupoid = groupoid
-        self.base_units = tuple(base_units)
-        self.positions = tuple(positions)  # (base unit, fiber arrow) per coordinate
-        self.dim = len(positions)
-        width = max(map(len, entry_cols), default=0)
-        self._entry_row = np.full((len(entry_rows), width), self.dim)
-        self._entry_col = np.full((len(entry_cols), width), self.dim)
-        for k, (rows, cols) in enumerate(zip(entry_rows, entry_cols)):
-            self._entry_row[k, :len(rows)] = rows
-            self._entry_col[k, :len(cols)] = cols
+        self.bases = bases  # unit index of each orbit's base unit
+        self.coordinate = coordinate
+        self.dim = int(np.count_nonzero(coordinate >= 0))
+        self._entry_row = entry_row
+        self._entry_col = entry_col
 
     def images(self, Q):
         """Q* A_g Q for all arrows g, as an (n_arrows, d, d) array; gathers
@@ -85,7 +82,7 @@ class ConcreteAlgebra:
         return out[:, :-1]
 
     def generator_matrix(self, g):
-        k = self.groupoid.arrows.index(g)
+        k = self.groupoid.table.position[g]
         M = np.zeros((self.dim + 1, self.dim + 1))
         M[self._entry_row[k], self._entry_col[k]] = 1.0
         return M[:-1, :-1]
@@ -102,17 +99,24 @@ def concrete_algebra(G):
     report = validate(G)
     if not report.ok:
         raise InputError("groupoid fails validation: " + report.lines()[0])
-    bases = [min(orb, key=G.units.index) for orb in orbits(G)]
-    positions = [(x, y) for x in bases for y in G.fiber(x)]
-    index = {pos: i for i, pos in enumerate(positions)}
-    arrow_pos = {g: k for k, g in enumerate(G.arrows)}
-    rows = [[] for _ in G.arrows]
-    cols = [[] for _ in G.arrows]
-    for i, (x, y) in enumerate(positions):
-        for g in G.fiber(G.ran[y]):
-            rows[arrow_pos[g]].append(index[(x, G.compose_table[(g, y)])])
-            cols[arrow_pos[g]].append(i)
-    alg = ConcreteAlgebra(G, bases, positions, rows, cols)
+    T = G.table
+    bases = [G.units.index(min(orb, key=G.units.index)) for orb in orbits(G)]
+    fiber_arrows = np.flatnonzero(np.isin(T.dom, bases))
+    fiber_arrows = fiber_arrows[np.argsort(T.dom[fiber_arrows], kind="stable")]
+    dim = len(fiber_arrows)
+    # entry (g y, y) of A_g for every fiber arrow y that g composes with,
+    # listed per arrow in coordinate order: live cells first, padding after
+    products = T.product[:, fiber_arrows]
+    live = products >= 0
+    width = int(live.sum(axis=1).max(initial=0))
+    order = np.argsort(~live, axis=1, kind="stable")[:, :width]
+    filled = np.take_along_axis(live, order, axis=1)
+    coordinate = np.full(G.n_arrows(), -1)
+    coordinate[fiber_arrows] = np.arange(dim)
+    alg = ConcreteAlgebra(
+        G, bases, coordinate,
+        np.where(filled, coordinate[np.take_along_axis(products, order, axis=1)], dim),
+        np.where(filled, order, dim))
 
     live = alg._entry_col < alg.dim
     for g, entries in zip(G.arrows, live):
@@ -122,9 +126,8 @@ def concrete_algebra(G):
     cells = alg._entry_row * stride + alg._entry_col
     if np.unique(cells[live]).size != np.count_nonzero(live):
         raise AmbiguityError("generator supports overlap; model not faithful")
-    inverse = _arrow_positions(G, [G.inverse[g] for g in G.arrows])
     transposed = alg._entry_col * stride + alg._entry_row
-    wrong = np.any(np.sort(cells[inverse], axis=1) != np.sort(transposed, axis=1), axis=1)
+    wrong = np.any(np.sort(cells[T.inverse], axis=1) != np.sort(transposed, axis=1), axis=1)
     if wrong.any():
         raise AmbiguityError(f"generator of the inverse of arrow "
                              f"{G.arrows[np.argmax(wrong)]} is not its "
@@ -141,7 +144,7 @@ def commutant_basis(alg):
     Each element is a 0/1 matrix given by the positions of its entries.  On
     the fiber d^{-1}(x) of a base unit the generators act by left
     translation, so the commutant of this left regular representation is
-    spanned exactly by the right translations e_(x, y) -> e_(x, y h) by the
+    spanned exactly by the right translations e_y -> e_(y h) by the
     isotropy arrows h at x (Renault, LNM 793); regular representations of
     different orbits are disjoint, so nothing couples them.  One element per
     base unit and isotropy arrow, in ascending id order.
@@ -151,15 +154,12 @@ def commutant_basis(alg):
     irreducible, which the dimension census, the invariance and rank checks
     of :func:`_verify_blocks` or the multiplicity decompositions catch.
     """
-    G = alg.groupoid
-    index = {pos: i for i, pos in enumerate(alg.positions)}
+    T, coordinate = alg.groupoid.table, alg.coordinate
     basis = []
-    for x in alg.base_units:
-        fiber = G.fiber(x)
-        cols = np.array([index[(x, y)] for y in fiber])
-        for h in G.hom(x, x):
-            rows = np.array([index[(x, G.compose_table[(y, h)])] for y in fiber])
-            basis.append((rows, cols))
+    for x in alg.bases:
+        fiber = np.flatnonzero(T.dom == x)
+        for h in np.flatnonzero((T.dom == x) & (T.ran == x)):
+            basis.append((coordinate[T.product[fiber, h]], coordinate[fiber]))
     return basis
 
 
@@ -185,7 +185,7 @@ class Block:
         if unknown:
             raise InputError(f"values on arrows {sorted(unknown)} outside the algebra")
         coeffs = np.zeros(G.n_arrows(), dtype=complex)
-        coeffs[_arrow_positions(G, list(f.values))] = list(f.values.values())
+        coeffs[G.table.positions(f.values)] = list(f.values.values())
         return np.tensordot(coeffs, alg.images(self.isometry), axes=1)
 
 
@@ -320,11 +320,6 @@ def wedderburn(alg, seed=0, cluster_tol=CLUSTER_TOL):
     return dec
 
 
-def _arrow_positions(G, ids):
-    """Positions of arrow ids in ``G.arrows``, which is sorted."""
-    return np.searchsorted(G.arrows, ids)
-
-
 def _verify_blocks(dec):
     """Integrity checks: each block map phi(g) = Q* A_g Q is an irreducible
     *-homomorphism.
@@ -372,18 +367,16 @@ def prim_partition(dec, U):
     G = dec.algebra.groupoid
 
     def annihilated(subset_arrows):
-        idx = _arrow_positions(G, subset_arrows)
+        idx = G.table.positions(subset_arrows)
         inside, outside = set(), set()
         for b in dec.blocks:
             worst = np.max(b.arrow_norms[idx], initial=0.0)
             (inside if worst < ANNIHILATION_TOL else outside).add(b.label)
         return frozenset(inside), frozenset(outside)
 
-    GU = reduction(G, U)
-    by_U = annihilated(GU.arrows)
+    by_U = annihilated(reduction(G, U).arrows)
     W = saturation(G, U)
-    arrows_W = [g for g in G.arrows if G.dom[g] in W]
-    by_W = annihilated(arrows_W)
+    by_W = annihilated(g for g in G.arrows if G.dom[g] in W)
     if by_U != by_W:
         raise AmbiguityError("annihilator partition differs between a subset "
                              "and its saturation; numerical failure upstream")
@@ -424,13 +417,12 @@ def induction_map(G, U, seed=0, dec=None, dec_red=None):
     GU = dec_red.algebra.groupoid
     inside, outside = prim_partition(dec, U)
 
-    arrows_red = GU.arrows
-    arrow_pos = {g: i for i, g in enumerate(G.arrows)}
+    arrows_red = G.table.positions(GU.arrows)
     candidates = {}  # reduction label -> list of upstairs labels
     for b in dec.blocks:
         if b.label in inside:
             continue
-        trace_vec = [b.traces[arrow_pos[g]] for g in arrows_red]
+        trace_vec = np.asarray(b.traces)[arrows_red]
         mult = dec_red.multiplicities_of(trace_vec)
         for j, m in mult.items():
             if m > 0:
@@ -494,84 +486,59 @@ def check_phi_isometry(G, U, x, seed=0, samples=8):
     U = frozenset(U)
     if x not in U:
         raise InputError("the unit must belong to the subset")
-    GU = reduction(G, U)
-    arrows_U = tuple(g for g in G.arrows if G.dom[g] in U)  # functions on d^{-1}(U)
-    fiber_red = GU.fiber(x)          # fiber of the reduction at x
-    fiber_full = G.fiber(x)          # fiber of the big groupoid at x
-    fiber_index = {g: i for i, g in enumerate(fiber_full)}
-    tensors = [(a, b) for a in arrows_U for b in fiber_red]
-    tensor_index = {t: i for i, t in enumerate(tensors)}
+    T, P = G.table, G.table.product
+    in_U = np.array([y in U for y in G.units], dtype=bool)
+    arrows_U = np.flatnonzero(in_U[T.dom])       # functions on d^{-1}(U)
+    fiber_full = np.flatnonzero(T.dom == G.units.index(x))  # fiber of G at x
+    fiber_red = fiber_full[in_U[T.ran[fiber_full]]]        # of the reduction at x
+    # tensor t = (a, b) = (arrows_U[t // nb], fiber_red[t % nb]); its image is a b
+    nb, nt = len(fiber_red), len(arrows_U) * len(fiber_red)
+    image = P[arrows_U[:, None], fiber_red].ravel()
 
-    image = {(a, b): G.try_compose(a, b) for (a, b) in tensors}
-
-    # Nonzeros of the inner-product Gram form: <t1, t2> = 1 exactly when
-    # r(a) = r(c) and (c^{-1} a) b = d computed inside the reduction.
-    gram_pairs = set()
-    for (a, b) in tensors:
-        for c in G.cofiber(G.ran[a]):
-            if G.dom[c] not in U:
-                continue
-            k = G.compose_table[(G.inverse[c], a)]   # c* a, supported in G|_U
-            d = GU.try_compose(k, b)
-            if d is not None and (c, d) in tensor_index:
-                gram_pairs.add((tensor_index[(a, b)], tensor_index[(c, d)]))
-
-    # Nonzeros of the image Gram form: tensors sharing a nonzero image.
-    by_image = {}
-    for t, ab in image.items():
-        if ab is not None:
-            by_image.setdefault(ab, []).append(tensor_index[t])
-    image_pairs = {(t1, t2) for group in by_image.values()
-                   for t1 in group for t2 in group}
-    gram_exact = gram_pairs == image_pairs
+    # Nonzeros of the inner-product Gram form: <(a, b), (c, d)> = 1 exactly
+    # when r(a) = r(c) and (c^{-1} a) b = d, computed in the reduction.
+    ia, ic = np.nonzero(T.ran[arrows_U][:, None] == T.ran[arrows_U][None, :])
+    d = P[P[T.inverse[arrows_U[ic]], arrows_U[ia]][:, None], fiber_red]
+    pair, ib = np.nonzero(d >= 0)
+    codes = np.unique((ia[pair] * nb + ib) * nt
+                      + ic[pair] * nb + np.searchsorted(fiber_red, d[pair, ib]))
+    rows, cols = np.divmod(codes, nt)
+    # It must equal the image Gram form: tensors sharing a nonzero image pair
+    # up, so the pairs above must share images and be as many as those.
+    hit = image >= 0
+    gram_exact = (np.all(image[rows] == image[cols]) and np.all(image[rows] >= 0)
+                  and codes.size == np.sum(np.bincount(image[hit]) ** 2))
 
     # Random-coefficient Gram comparisons (the floating-point path).
     rng = np.random.default_rng(seed)
     gram_residual = 0.0 if gram_exact else 1.0
-    nt = len(tensors)
-    if gram_pairs:
-        rows = np.array([p[0] for p in sorted(gram_pairs)])
-        cols = np.array([p[1] for p in sorted(gram_pairs)])
-    else:
-        rows = cols = np.zeros(0, dtype=int)
-    img_row = np.full(nt, -1, dtype=int)
-    for t, ab in image.items():
-        if ab is not None:
-            img_row[tensor_index[t]] = fiber_index[ab]
+    img_row = np.searchsorted(fiber_full, image[hit])
     for _ in range(samples):
         c1 = rng.standard_normal(nt) + 1j * rng.standard_normal(nt)
         c2 = rng.standard_normal(nt) + 1j * rng.standard_normal(nt)
         lhs = np.sum(np.conj(c2[cols]) * c1[rows]) if nt else 0j
-        v1 = np.zeros(len(fiber_full), dtype=complex)
-        v2 = np.zeros(len(fiber_full), dtype=complex)
-        hit = img_row >= 0
-        np.add.at(v1, img_row[hit], c1[hit])
-        np.add.at(v2, img_row[hit], c2[hit])
+        v1, v2 = np.zeros((2, len(fiber_full)), dtype=complex)
+        np.add.at(v1, img_row, c1[hit])
+        np.add.at(v2, img_row, c2[hit])
         rhs = np.vdot(v2, v1)
         gram_residual = max(gram_residual, abs(lhs - rhs))
 
     # Surjectivity: every fiber arrow g arises (namely as delta(g) * e_{u(x)}).
-    reachable = set(image.values()) - {None}
-    surjective = reachable == set(fiber_full)
+    surjective = np.array_equal(np.unique(image[hit]), fiber_full)
 
-    # Intertwining: acting by an arrow upstairs before or after the map
-    # yields the same fiber index (or jointly none).
-    intertwining = 0.0
-    for h in G.arrows:
-        for (a, b) in tensors:
-            ha = G.try_compose(h, a)
-            # dom(h a) = dom(a) lies in U, so (ha, b) is again a tensor
-            lhs_target = image[(ha, b)] if ha is not None else None
-            ab = image[(a, b)]
-            rhs_target = G.try_compose(h, ab) if ab is not None else None
-            if lhs_target != rhs_target:
-                intertwining = 1.0
+    # Intertwining: acting by an arrow h upstairs before or after the map
+    # yields the same fiber arrow (or jointly none); dom(h a) = dom(a) lies
+    # in U, so (h a, b) is again a tensor.
+    intertwining = 0.0 if all(
+        np.array_equal(np.where(ha[:, None] >= 0, P[ha[:, None], fiber_red], -1).ravel(),
+                       np.where(hit, P[h, image], -1))
+        for h, ha in enumerate(P[:, arrows_U])) else 1.0
 
     return PhiIsometryReport(
-        subset=U, unit=x, tensor_count=len(tensors), fiber_dim=len(fiber_full),
+        subset=U, unit=x, tensor_count=nt, fiber_dim=len(fiber_full),
         gram_residual=float(gram_residual),
         intertwining_residual=float(intertwining),
-        surjective=surjective,
+        surjective=bool(surjective),
     )
 
 
@@ -746,11 +713,9 @@ def check_families(G, family, seed=0, dec=None):
 
 def regular_support(G, x, dec):
     """Support (set of block labels) of the regular representation at x."""
-    traces = []
-    for g in G.arrows:
-        M = regular_rep(G, x, ArrowFunction.delta(G, g)).matrix
-        traces.append(np.trace(M))
-    return dec.support_of(traces)
+    fiber = np.flatnonzero(G.table.dom == G.units.index(x))
+    # the trace of delta(g) counts the fiber arrows y with g y = y
+    return dec.support_of(np.sum(G.table.product[:, fiber] == fiber, axis=1))
 
 
 def check_regular_family_faithful(G, seed=0, dec=None):
@@ -795,60 +760,35 @@ def morita_reduction_data(G, U):
     """
     U = frozenset(U)
     W = saturation(G, U)
-    Z = [z for z in G.arrows if G.dom[z] in U]
-    GW = reduction(G, W)
-    GU = reduction(G, U)
+    T = G.table
+    in_U, in_W = (np.array([x in S for x in G.units], dtype=bool) for S in (U, W))
+    Z = np.flatnonzero(in_U[T.dom])                  # arrows with domain in U
+    GW = np.flatnonzero(in_W[T.dom] & in_W[T.ran])   # arrows of G|_W
+    GU = np.flatnonzero(in_U[T.dom] & in_U[T.ran])   # arrows of G|_U
+    left = T.product[GW[None, :], Z[:, None]]        # left[i, a] = GW[a] Z[i]
+    right = T.product[Z[:, None], GU]                # right[i, b] = Z[i] GU[b]
+    not_unit = ~np.isin(np.arange(G.n_arrows()), T.unit)
 
-    left_free = True
-    right_free = True
-    for z in Z:
-        for g in GW.arrows:
-            if G.dom[g] != G.ran[z]:
-                continue
-            if G.compose_table[(g, z)] == z and not G.is_unit_arrow(g):
-                left_free = False
-        for h in GU.arrows:
-            if G.ran[h] != G.dom[z]:
-                continue
-            if G.compose_table[(z, h)] == z and not G.is_unit_arrow(h):
-                right_free = False
-
-    commute = True
-    for z in Z:
-        for g in GW.arrows:
-            if G.dom[g] != G.ran[z]:
-                continue
-            for h in GU.arrows:
-                if G.ran[h] != G.dom[z]:
-                    continue
-                gz = G.compose_table[(g, z)]
-                zh = G.compose_table[(z, h)]
-                if G.compose_table[(gz, h)] != G.compose_table[(g, zh)]:
-                    commute = False
-
-    # Left-orbit space vs U through the domain map.
-    left = UnionFind(Z)
-    for z in Z:
-        for g in GW.arrows:
-            if G.dom[g] == G.ran[z]:
-                left.union(z, G.compose_table[(g, z)])
-    left_classes = {}
-    for z in Z:
-        left_classes.setdefault(left.find(z), set()).add(G.dom[z])
-    left_ok = (len(left_classes) == len(U)
-               and all(len(v) == 1 for v in left_classes.values())
-               and {next(iter(v)) for v in left_classes.values()} == U)
-
-    right = UnionFind(Z)
-    for z in Z:
-        for h in GU.arrows:
-            if G.ran[h] == G.dom[z]:
-                right.union(z, G.compose_table[(z, h)])
-    right_classes = {}
-    for z in Z:
-        right_classes.setdefault(right.find(z), set()).add(G.ran[z])
-    right_ok = (len(right_classes) == len(W)
-                and all(len(v) == 1 for v in right_classes.values())
-                and {next(iter(v)) for v in right_classes.values()} == W)
-
+    left_free = not np.any((left == Z[:, None]) & not_unit[GW])
+    right_free = not np.any((right == Z[:, None]) & not_unit[GU])
+    # (g z) h = g (z h) for every composable g, z, h: one gather per z
+    commute = all(
+        np.array_equal(T.product[gz[gz >= 0][:, None], GU[zh >= 0]],
+                       T.product[GW[gz >= 0][:, None], zh[zh >= 0]])
+        for gz, zh in zip(left, right))
+    left_ok = _quotient_bijects(Z, left, T.dom, in_U)
+    right_ok = _quotient_bijects(Z, right, T.ran, in_W)
     return MoritaReport(U, W, left_free, right_free, commute, left_ok, right_ok)
+
+
+def _quotient_bijects(Z, moves, label, target):
+    """Whether the classes of Z under z ~ moves[i] (for z = Z[i]; -1 is no
+    move) are the fibers of ``label`` over the units flagged in ``target``."""
+    i, j = np.nonzero(moves >= 0)
+    classes = UnionFind(Z.tolist())
+    for z, w in zip(Z[i].tolist(), moves[i, j].tolist()):
+        classes.union(z, w)
+    labels = np.unique(label[Z])
+    return (np.array_equal(label[moves[i, j]], label[Z[i]])  # one label per class
+            and len({classes.find(z) for z in Z.tolist()}) == len(labels)
+            and np.array_equal(labels, np.flatnonzero(target)))

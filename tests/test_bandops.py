@@ -358,6 +358,14 @@ def test_finite_sections_preconditions():
         finite_section_analysis(laplacian_band(), [4, 8], 1e-6)
 
 
+@pytest.mark.parametrize("sizes", [[64, 64], [64, 128, 128], [128, 64]])
+def test_finite_sections_reject_sizes_that_do_not_strictly_increase(sizes):
+    # with a size repeated no count can grow, so the free Laplacian (not
+    # Fredholm) would read CONSISTENT-FREDHOLM
+    with pytest.raises(InputError, match="increasing"):
+        finite_section_analysis(BandOperator.toeplitz({-1: 1, 1: 1}), sizes, 1e-6)
+
+
 def test_truncation_row_convention():
     A = BandOperator.from_limits({1: (2.0, 3.0)})
     M = A.truncation(2)

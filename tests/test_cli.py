@@ -166,3 +166,8 @@ def test_inconclusive_symbol_scan_is_exit_2(tmp_path, capsys):
     save_band_operator(path, dodgy)
     assert run("fredholm", str(path), "--sizes", "64,128,256") == 2
     assert "refine grid" in capsys.readouterr().err
+
+
+def test_repeated_sizes_are_exit_2(capsys):
+    assert run("fredholm", fixture("band_laplacian.json"), "--sizes", "64,64") == 2
+    assert "increasing" in capsys.readouterr().err

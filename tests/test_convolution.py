@@ -77,6 +77,35 @@ def test_convolution_associativity_randomized():
         assert lhs.max_abs_difference(rhs) < TOL
 
 
+def _convolve_reference(f, g):
+    """The defining sum, term by term: y outer, z inner, in table order."""
+    G = f.parent
+    out = {}
+    for y, gv in g.values.items():
+        for z, fv in f.values.items():
+            if G.dom[z] == G.ran[y]:
+                x = G.compose(z, y)
+                out[x] = out.get(x, 0j) + fv * gv
+    return {x: v for x, v in out.items() if v != 0}
+
+
+def _bits(table):
+    return [(k, np.float64(v.real).tobytes(), np.float64(v.imag).tobytes())
+            for k, v in table.items()]
+
+
+def test_convolution_matches_the_defining_sum_bit_for_bit():
+    rng = rng_from_seed(48)
+    for _ in range(20):
+        G = random_groupoid(rng, max_arrows=40)
+        for _ in range(5):
+            f = random_arrow_function(rng, G, [a for a in G.arrows if rng.random() < 0.6])
+            g = random_arrow_function(rng, G, [a for a in G.arrows if rng.random() < 0.6])
+            out = convolve(f, g).values
+            assert list(out) == list(_convolve_reference(f, g))  # keys in order
+            assert _bits(out) == _bits(_convolve_reference(f, g))
+
+
 def test_regular_rep_matrix_unit_example():
     G = pair2()
     M = regular_rep(G, "1", ArrowFunction.delta(G, _pa(G, "1", "2")))

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from gcstar.errors import InputError
@@ -17,8 +19,63 @@ def test_validate_pair_groupoid_clean():
 def test_validate_redirected_composition_lists_associativity():
     report = validate(broken_pair3())
     assert not report.ok
-    rules = {v.rule for v in report.violations}
-    assert "associativity" in rules
+    assert report.lines() == (
+        "[product-endpoints] 1*3 = 1 has wrong endpoints",
+        "[inverse-law] 1*1^-1 != u(ran(1))",
+        "[inverse-law] 3^-1*3 != u(dom(3))",
+        "[associativity] (1*3)*0 = None but 1*(3*0) = 1",
+        "[associativity] (1*3)*1 = None but 1*(3*1) = 1",
+        "[associativity] (1*3)*2 = None but 1*(3*2) = 2",
+        "[associativity] (1*5)*6 = 0 but 1*(5*6) = 1",
+        "[associativity] (2*7)*3 = 1 but 2*(7*3) = 0",
+        "[associativity] (3*1)*3 = 3 but 3*(1*3) = 4",
+        "[associativity] (6*1)*3 = 6 but 6*(1*3) = 7",
+    )
+
+
+def _mutated(G, inverse=(), unit_arrow=(), compose=(), drop=None):
+    inverse = {**G.inverse, **dict(inverse)}
+    unit_arrow = {**G.unit_arrow, **dict(unit_arrow)}
+    table = {**G.compose_table, **dict(compose)}
+    if drop is not None:
+        del table[drop]
+    return FiniteGroupoid(G.units, G.dom, G.ran, inverse, unit_arrow, table)
+
+
+# pair(1, 2): arrows 0 and 3 are units, 1: 2 -> 1 and 2: 1 -> 2 are inverse;
+# Z3 over one unit: arrow k is k mod 3
+_P2, _Z3 = pair_groupoid(["1", "2"]), group_groupoid(FiniteGroup.cyclic(3))
+
+
+@pytest.mark.parametrize("bad, first", [
+    (_mutated(_P2, inverse={1: 9}),
+     "[tables] inverse entry 1->9 references unknown arrows"),
+    (_mutated(_P2, unit_arrow={"1": 3}),
+     "[unit-endpoints] unit arrow 3 of '1' has endpoints ('2','2')"),
+    (_mutated(_Z3, inverse={2: 0}),
+     "[inverse-involution] inverse(inverse(1)) = 0"),
+    (_mutated(_P2, inverse={1: 1}),
+     "[inverse-endpoints] inverse(1) = 1 does not swap endpoints"),
+    (_mutated(_P2, compose={(1, 1): 0}),
+     "[compose-domain] (1,1) is in the table but dom(1) != ran(1)"),
+    (_mutated(_P2, drop=(1, 2)),
+     "[compose-domain] (1,2) is composable but not in the table"),
+    (_mutated(_P2, compose={(1, 2): 3}),
+     "[product-endpoints] 1*2 = 3 has wrong endpoints"),
+    (_mutated(_Z3, compose={(0, 1): 2}),
+     "[unit-law] u(ran)*1 != 1"),
+    (_mutated(_Z3, compose={(1, 0): 2}),
+     "[unit-law] 1*u(dom) != 1"),
+    (_mutated(_Z3, inverse={1: 1, 2: 2}),
+     "[inverse-law] 1*1^-1 != u(ran(1))"),
+    (_mutated(_Z3, compose={(1, 1): 0}),
+     "[associativity] (1*1)*2 = 2 but 1*(1*2) = 1"),
+])
+def test_validate_reports_each_rule(bad, first):
+    assert validate(_P2).ok and validate(_Z3).ok
+    report = validate(bad)
+    assert report.lines()[0] == first
+    assert str(report.violations[0]) == first
 
 
 def test_validate_swap_action_groupoid_clean():
@@ -237,3 +294,52 @@ def test_counting_measure_right_invariance_by_bijection_replay():
         for g in G.arrows:
             image = [G.compose(h, g) for h in G.fiber(G.ran[g])]
             assert sorted(image) == sorted(G.fiber(G.dom[g]))
+
+
+def symmetric_group_3():
+    elements = list(itertools.permutations(range(3)))
+    table = {(a, b): tuple(a[b[i]] for i in range(3))
+             for a in elements for b in elements}
+    return FiniteGroup.from_table(elements, table, (0, 1, 2))
+
+
+def _draws(seed, count):
+    """Random groupoids, then pair(3) x S3 (non-abelian isotropy)."""
+    rng = rng_from_seed(seed)
+    draws = [random_groupoid(rng, max_arrows=40) for _ in range(count)]
+    draws.append(direct_product(pair_groupoid(["1", "2", "3"]),
+                                group_groupoid(symmetric_group_3())))
+    return rng, draws
+
+
+def test_reductions_validate():
+    rng, draws = _draws(46, 20)
+    for G in draws:
+        assert validate(G).ok
+        for _ in range(3):
+            assert validate(reduction(G, random_subset(rng, G))).ok
+
+
+def test_integer_table_matches_the_dict_tables():
+    _, draws = _draws(47, 10)
+    for G in draws:
+        assert "table" not in vars(G)  # built on first use, not by the constructor
+        T = G.table
+        assert T is G.table
+        pos = {g: i for i, g in enumerate(G.arrows)}
+        assert T.position == pos
+        assert list(T.positions(reversed(G.arrows))) == list(range(G.n_arrows()))[::-1]
+        assert [G.units[i] for i in T.dom] == [G.dom[g] for g in G.arrows]
+        assert [G.units[i] for i in T.ran] == [G.ran[g] for g in G.arrows]
+        assert [G.arrows[i] for i in T.inverse] == [G.inverse[g] for g in G.arrows]
+        assert [G.arrows[i] for i in T.unit] == [G.unit_arrow[x] for x in G.units]
+        for i, g in enumerate(G.arrows):
+            for j, h in enumerate(G.arrows):
+                k = G.try_compose(g, h)
+                assert T.product[i, j] == (-1 if k is None else pos[k])
+
+
+def test_integer_table_refuses_unknown_arrows():
+    bad = _mutated(_P2, compose={(1, 2): 9})
+    with pytest.raises(InputError, match="unknown arrow"):
+        bad.table
