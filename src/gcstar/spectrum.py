@@ -11,8 +11,11 @@ extracted numerically:
    the representation space along its eigenvalue clusters;
 3. compute the arrow images Q* A_g Q of each cluster once; group equivalent
    sub-blocks by their traces and keep one representative per class, whose
-   images give the annihilator norms; each representative's range is checked
-   to be invariant under every generator (hence multiplicative) and irreducible.
+   images give the annihilator norms: the spectral norm of each image, read
+   as |phi(g)| for one-dimensional blocks and otherwise as the root of the
+   top eigenvalue of the Gram matrix phi(g)* phi(g); each representative's
+   range is checked to be invariant under every generator (hence
+   multiplicative) and irreducible.
 
 Every block corresponds to one irreducible representation, hence to one
 primitive ideal (its kernel).  Induction from the algebra of a reduction is
@@ -24,6 +27,7 @@ when j appears in the decomposition of its corner restriction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,7 +185,7 @@ class Block:
     def apply(self, alg, f):
         """The block image of an arrow function (sub-arrow-set tables allowed)."""
         G = alg.groupoid
-        unknown = f.values.keys() - set(G.arrows)
+        unknown = f.values.keys() - G.table.position.keys()
         if unknown:
             raise InputError(f"values on arrows {sorted(unknown)} outside the algebra")
         coeffs = np.zeros(G.n_arrows(), dtype=complex)
@@ -213,12 +217,15 @@ class BlockDecomposition:
         """The C*-norm of f computed in the block model."""
         return max(self.block_norms(f).values(), default=0.0)
 
+    @functools.cached_property
     def character_matrix(self):
-        """Traces of all blocks on all arrow deltas; rows follow arrow order."""
+        """Traces of all blocks on all arrow deltas; rows follow arrow order.
+        Built once per decomposition and read-only."""
         arrows = self.algebra.groupoid.arrows
         X = np.zeros((len(arrows), len(self.blocks)), dtype=complex)
         for j, b in enumerate(self.blocks):
             X[:, j] = b.traces
+        X.flags.writeable = False
         return X
 
     def multiplicities_of(self, trace_vector):
@@ -229,7 +236,7 @@ class BlockDecomposition:
         least-squares solve followed by integer rounding is exact up to
         numerical noise; a large residual raises AmbiguityError.
         """
-        X = self.character_matrix()
+        X = self.character_matrix
         t = np.asarray(trace_vector, dtype=complex)
         m, *_ = np.linalg.lstsq(X, t, rcond=None)
         rounded = np.round(m.real)
@@ -301,8 +308,10 @@ def wedderburn(alg, seed=0, cluster_tol=CLUSTER_TOL):
                              "different seed")
 
     def sort_key(grp):
-        sig = tuple((round(t.real, 6), round(t.imag, 6)) for t in grp["traces"])
-        return (grp["dim"], sig)
+        # one rounding of the whole vector: on numpy float64 parts,
+        # round(x, 6) is np.round, so the keys match it bit for bit
+        r = np.round(grp["traces"], 6)
+        return (grp["dim"], tuple(zip(r.real.tolist(), r.imag.tolist())))
 
     groups.sort(key=sort_key)
     blocks = []
@@ -313,11 +322,20 @@ def wedderburn(alg, seed=0, cluster_tol=CLUSTER_TOL):
             multiplicity=grp["count"],
             isometry=grp["isometry"],
             traces=tuple(grp["traces"]),
-            arrow_norms=np.linalg.norm(grp["images"], 2, axis=(1, 2)),
+            arrow_norms=_spectral_norms(grp["images"]),
         ))
     dec = BlockDecomposition(alg, tuple(blocks))
     _verify_blocks(dec)
     return dec
+
+
+def _spectral_norms(images):
+    """||phi(g)||_2 for a stack of d x d images: |phi(g)| when d = 1, else the
+    root of the top eigenvalue of the Gram matrix phi(g)* phi(g)."""
+    if images.shape[1] == 1:
+        return np.abs(images[:, 0, 0])
+    gram = images.conj().transpose(0, 2, 1) @ images
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
 
 def _verify_blocks(dec):
@@ -365,18 +383,19 @@ def prim_partition(dec, U):
     saturated sub-arrow-set.
     """
     G = dec.algebra.groupoid
+    W = saturation(G, U)  # refuses stray units before any lookup
+    U, T = frozenset(U), G.table
 
-    def annihilated(subset_arrows):
-        idx = G.table.positions(subset_arrows)
+    def annihilated(idx):
         inside, outside = set(), set()
         for b in dec.blocks:
             worst = np.max(b.arrow_norms[idx], initial=0.0)
             (inside if worst < ANNIHILATION_TOL else outside).add(b.label)
         return frozenset(inside), frozenset(outside)
 
-    by_U = annihilated(reduction(G, U).arrows)
-    W = saturation(G, U)
-    by_W = annihilated(g for g in G.arrows if G.dom[g] in W)
+    in_U, in_W = (np.array([x in S for x in G.units], dtype=bool) for S in (U, W))
+    by_U = annihilated(np.flatnonzero(in_U[T.dom] & in_U[T.ran]))  # G|_U
+    by_W = annihilated(np.flatnonzero(in_W[T.dom]))                # d^-1(W)
     if by_U != by_W:
         raise AmbiguityError("annihilator partition differs between a subset "
                              "and its saturation; numerical failure upstream")

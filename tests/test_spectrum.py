@@ -14,13 +14,13 @@ from gcstar.groupoid import (FiniteGroup, direct_product, disjoint_union,
                              reduction)
 from gcstar.randgen import (random_arrow_function, random_groupoid,
                             random_subset, rng_from_seed)
-from gcstar.spectrum import (BlockDecomposition, _verify_blocks,
-                             block_decomposition, check_families,
-                             check_norm_estimates, check_phi_isometry,
-                             check_regular_family_faithful, commutant_basis,
-                             concrete_algebra, induce, induction_map,
-                             morita_reduction_data, prim_partition,
-                             verify_spectrum_decomposition)
+from gcstar.spectrum import (ANNIHILATION_TOL, BlockDecomposition,
+                             _verify_blocks, block_decomposition,
+                             check_families, check_norm_estimates,
+                             check_phi_isometry, check_regular_family_faithful,
+                             commutant_basis, concrete_algebra, induce,
+                             induction_map, morita_reduction_data,
+                             prim_partition, verify_spectrum_decomposition)
 
 
 def test_concrete_algebra_shapes():
@@ -132,6 +132,112 @@ def test_block_images_match_dense_definition():
             assert np.max(np.abs(b.arrow_norms - norms)) < 1e-12
     # non-abelian isotropy: S3 has irreducibles of dimension 1, 1 and 2
     assert [b.dim for b in dec.blocks] == [3, 3, 6]
+
+
+def dihedral_group_4():
+    """The symmetries of a square, closed from a rotation and a reflection."""
+    r, s = (1, 2, 3, 0), (0, 3, 2, 1)
+    elements = {(0, 1, 2, 3)}
+    frontier = list(elements)
+    while frontier:
+        a = frontier.pop()
+        for b in (tuple(a[r[i]] for i in range(4)), tuple(a[s[i]] for i in range(4))):
+            if b not in elements:
+                elements.add(b)
+                frontier.append(b)
+    elements = sorted(elements)
+    table = {(a, b): tuple(a[b[i]] for i in range(4))
+             for a in elements for b in elements}
+    return FiniteGroup.from_table(elements, table, (0, 1, 2, 3))
+
+
+def per_trace_key(b):
+    """The ordering key as one Python round() per numpy trace part."""
+    return (b.dim, tuple((round(t.real, 6), round(t.imag, 6))
+                         for t in np.asarray(b.traces)))
+
+
+def test_block_labels_follow_the_per_trace_rounding_key():
+    rng = rng_from_seed(32)
+    pair2_d4 = direct_product(pair_groupoid(["1", "2"]),
+                              group_groupoid(dihedral_group_4()))
+    groupoids = [pair3_s3(), pair2_d4]
+    groupoids += [random_groupoid(rng, max_arrows=40) for _ in range(10)]
+    for G in groupoids:
+        dec = block_decomposition(G, seed=13)
+        ordered = sorted(dec.blocks, key=per_trace_key)
+        assert dec.labels == tuple(f"B{i}" for i in range(len(ordered)))
+        assert ([(b.label, b.dim, b.multiplicity) for b in dec.blocks]
+                == [(f"B{i}", b.dim, b.multiplicity) for i, b in enumerate(ordered)])
+        if G is pair2_d4:  # D4 has irreducibles of dimension 1, 1, 1, 1 and 2
+            assert [(b.dim, b.multiplicity) for b in dec.blocks] == [(2, 1)] * 4 + [(4, 2)]
+
+
+def test_arrow_norms_of_one_dimensional_blocks_match_dense_norms():
+    # abelian isotropy over several orbits: many one-dimensional blocks
+    rng = rng_from_seed(33)
+    groupoids = [disjoint_union([group_groupoid(FiniteGroup.cyclic(5), unit="a"),
+                                 group_groupoid(FiniteGroup.klein_four(), unit="b"),
+                                 pair_groupoid(["c", "d"])])]
+    groupoids += [random_groupoid(rng, max_arrows=40) for _ in range(4)]
+    seen = 0
+    for G in groupoids:
+        dec = block_decomposition(G, seed=14)
+        alg = dec.algebra
+        for b in dec.blocks:
+            if b.dim != 1:
+                continue
+            Q = b.isometry
+            norms = [np.linalg.norm(Q.conj().T @ alg.generator_matrix(g) @ Q, 2)
+                     for g in G.arrows]
+            assert np.max(np.abs(b.arrow_norms - norms)) < 1e-12
+            seen += 1
+    assert seen >= 9
+
+
+def reference_prim_partition(dec, U):
+    """The annihilator partition over the arrows of reduction(G, U)."""
+    G = dec.algebra.groupoid
+    idx = G.table.positions(reduction(G, U).arrows)
+    inside = frozenset(b.label for b in dec.blocks
+                       if np.max(b.arrow_norms[idx], initial=0.0) < ANNIHILATION_TOL)
+    return inside, frozenset(dec.labels) - inside
+
+
+def test_prim_partition_matches_the_reduction_reference():
+    rng = rng_from_seed(34)
+    split = 0  # partitions with blocks on both sides
+    for _ in range(8):
+        G = random_groupoid(rng, max_arrows=40)
+        dec = block_decomposition(G, seed=15)
+        subsets = [frozenset(), frozenset(G.units)]
+        subsets += [random_subset(rng, G, nonempty=False) for _ in range(4)]
+        for U in subsets:
+            inside, outside = prim_partition(dec, U)
+            assert (inside, outside) == reference_prim_partition(dec, U)
+            split += bool(inside) and bool(outside)
+    assert split >= 5
+    dec = block_decomposition(pair3_s3(), seed=15)
+    for U in ([], [("1", "*")], [("1", "*"), ("3", "*")]):
+        assert prim_partition(dec, U) == reference_prim_partition(dec, U)
+
+
+def test_prim_partition_refuses_stray_units():
+    dec = block_decomposition(disjoint_pair_z2(), seed=1)
+    with pytest.raises(InputError, match="not units"):
+        prim_partition(dec, {"1", "nowhere"})
+
+
+def test_character_matrix_is_built_once_per_decomposition():
+    G = disjoint_pair_z2()
+    dec = block_decomposition(G, seed=1)
+    X = dec.character_matrix
+    assert dec.character_matrix is X and not X.flags.writeable
+    assert np.array_equal(X, np.array([b.traces for b in dec.blocks]).T)
+    # the regular representation at a unit of each orbit, through the cache
+    from gcstar.spectrum import regular_support
+    assert regular_support(G, "1", dec) | regular_support(G, "3", dec) == set(dec.labels)
+    assert dec.character_matrix is X
 
 
 def test_block_apply_matches_dense_definition():
