@@ -38,17 +38,22 @@ DEFAULT_SECTION_EPS = 1e-6
 #   tridiagonal whose off-diagonal entries differ by at most ~2.5u relatively
 #   (Kahan 1966; Demmel, Applied Numerical Linear Algebra, section 5.3), so
 #   only an eigenvalue within ~5u ||A|| of -t or t can fall on the wrong side.
-# * Block Sturm on the Golub-Kahan dilation (all other bands): each step is
-#   backward stable up to ~b u ||C|| for the Schur complement C it
-#   diagonalises, and carrying every direction whose update would exceed
-#   PIVOT_GROWTH ||A|| keeps ||C|| below ~b PIVOT_GROWTH ||A||, so only a
-#   singular value within ~b^2 PIVOT_GROWTH u ||A|| of t (4e-12 ||A|| for the
-#   block size b = 6 of bandwidth 2) can be miscounted.
+# * Block cyclic reduction on the Golub-Kahan dilation (all other bands):
+#   each level is backward stable up to ~d u ||C|| for the blocks C it
+#   diagonalises, d the largest block dimension reached (b = 2(w + 1) plus
+#   the directions carried).  Carrying every direction whose update would
+#   exceed PIVOT_GROWTH ||A|| keeps ||C|| below ~d PIVOT_GROWTH ||A||, so a
+#   level can miscount only a singular value within ~d^2 PIVOT_GROWTH u ||A||
+#   of t.  The reduction raises past d = 6b, where that is 1.4e-10 ||A|| for
+#   b = 6: below eps = 1e-9 for ||A|| <= 6.  The levels' errors add (12
+#   levels at N = 4096); on the 350 general operators of the sections
+#   benchmark at seeds 0-9 the blocks reached at most 27 unknowns and
+#   2.3e3 ||A||, about 1e-10 ||A|| summed over all levels.
 # Both sit far below DEFAULT_SECTION_EPS; counting on A*A would square the
 # floor to ~sqrt(n u) ||A||, 5e-7 ||A|| at N = 1024.
 # An eliminated Schur-complement eigenvalue of modulus at most
 # SCHUR_PIVOT_TOL * dim(C) * max(||A||, largest eliminated modulus) has no
-# determinable sign at that floor: the sweep raises AmbiguityError.
+# determinable sign at that floor: the reduction raises AmbiguityError.
 SCHUR_PIVOT_TOL = 8 * np.finfo(float).eps
 PIVOT_GROWTH = 1e3
 
@@ -501,121 +506,197 @@ def _gram_norm(A, N):
     return float(np.sqrt(hi))
 
 
-def _dilation_blocks(A, sizes, thresholds, norm):
-    """The blocks of H + tI, for every size and threshold, step by step.
+def _dilation_blocks(A, sizes):
+    """The distinct blocks of every section's dilation H, and where they sit.
 
     H is the interleaved Golub-Kahan dilation of a section, with unknowns
     x_0, y_0, x_1, y_1, ... and H[x_i, y_j] = A[i, j]: Hermitian of
-    bandwidth 2w + 1, so block tridiagonal in blocks of b = 2(w + 1).
-    Yields per block k the diagonal block D_k + tI, shaped (sizes,
-    thresholds, b, b), and the coupling H[block k + 1, block k], shaped
-    (sizes, b, b), or None at the last block.  A section that ends inside a
-    block is padded there with decoupled diagonal entries equal to the
-    norm.  The blocks are read from one table of the diagonals, 32 steps at
-    a time, so their memory stays O(32 b^2) per size and threshold.
+    bandwidth 2w + 1, so block tridiagonal in blocks of b = 2(w + 1).  Block
+    k of size s is entry index[s, k] of three pools: its diagonal block D
+    (unshifted), its coupling L = H[block k + 1, block k] and its count of
+    live unknowns, which come first.  Every section runs over the blocks of
+    the largest; unknowns past its end are padding, decoupled.  Both blocks
+    are read from the rows of blocks k and k + 1, so a block repeats its
+    predecessor when those rows repeat bit for bit (uint64 views, so that
+    +0 and -0 stay apart), and only one block is built per distinct run.
     """
     w = A.bandwidth
     m, b = w + 1, 2 * w + 2             # section rows and unknowns per block
-    S, T, Nmax, chunk = len(sizes), len(thresholds), sizes[-1], 32
+    Nmax = sizes[-1]
     n_blocks = 2 * Nmax // m + 1
     table = A.section_coefficients(Nmax)   # table[d + w, i + Nmax] = c_d(i)
-    offsets = np.arange(-w, w + 1)[:, None]
+    bits = table.view(np.uint64).reshape(2 * w + 1, -1, 2)
+    repeats = (bits[:, m:] == bits[:, :-m]).all(axis=(0, 2))   # column c + m repeats c
+    offsets = np.arange(-w, w + 1)
     # the x-row p of a block meets the y-column p - d, counted from that
     # block, inside the three blocks k - 1, k, k + 1
     p, d = np.meshgrid(np.arange(m), offsets)
     scatter = (2 * p * 3 * b + 2 * (p - d + m) + 1).ravel()
-    for k0 in range(0, n_blocks, chunk):
-        K = min(chunk, n_blocks - k0)
-        r = np.arange(k0 * m, (k0 + K + 1) * m)          # section rows
-        coef = np.zeros((S, 2 * w + 1, r.size), dtype=complex)
-        for s, N in enumerate(sizes):
-            # A_N[r, r - d] = c_d(r - N), zero unless row and column are inside
-            inside = (r < 2 * N + 1) & (r - offsets >= 0) & (r - offsets <= 2 * N)
-            coef[s] = np.where(inside, table[:, np.clip(r - N + Nmax, 0, 2 * Nmax)], 0)
-        F = np.zeros((S, K + 1, b * 3 * b), dtype=complex)
-        F[:, :, scatter] = (coef.reshape(S, 2 * w + 1, K + 1, m)
-                            .transpose(0, 2, 1, 3).reshape(S, K + 1, -1))
-        F = F.reshape(S, K + 1, b, 3 * b)
-        mid = F[:, :K, :, b:2 * b]
-        D = np.repeat((mid + mid.conj().swapaxes(2, 3))[:, :, None], T, axis=2)
-        rows = np.repeat(r[:K * m], 2).reshape(K, b)
-        D.reshape(S, K, T, b * b)[..., ::b + 1] += np.where(
-            rows < 2 * np.array(sizes)[:, None, None, None] + 1,
-            np.reshape(thresholds, (T, 1, 1)), norm).swapaxes(1, 2)
-        L = F[:, 1:, :, :b] + F[:, :K, :, 2 * b:].conj().swapaxes(2, 3)
-        for j in range(K):
-            yield D[:, j], (L[:, j] if k0 + j + 1 < n_blocks else None)
+    keys, windows, runs = [], [], []
+    for N in sizes:
+        # row r repeats row r - m where neither loses a column at the ends of
+        # the section and the table repeats, and where both lie past its end
+        same = np.zeros((n_blocks + 1) * m, dtype=bool)
+        same[m + w:2 * N + 1 - w] = repeats[Nmax - N + w:Nmax + N + 1 - w - m]
+        same[2 * N + 1 + m:] = True
+        same = same[m:].reshape(-1, m).all(1)
+        live = 2 * np.clip(2 * N + 1 - m * np.arange(n_blocks), 0, m)
+        # block k + 1 repeats block k when the rows of blocks k + 1 and k + 2 do
+        repeat = same[:-1] & same[1:] & (live[1:] == live[:-1])
+        starts = np.flatnonzero(np.r_[True, ~repeat])
+        runs.append(np.diff(np.r_[starts, n_blocks]))
+        # A_N[r, r - d] = c_d(r - N), zero unless row and column are inside,
+        # on the rows of each run's first block and the next
+        r = m * starts[:, None] + np.arange(2 * m)
+        col = r - offsets[:, None, None]
+        window = np.where((r <= 2 * N) & (col >= 0) & (col <= 2 * N),
+                          table[:, np.clip(r - N + Nmax, 0, 2 * Nmax)], 0)
+        windows.append(np.ascontiguousarray(window.transpose(1, 2, 0)))  # (runs, 2m, 2w+1)
+        keys.append(np.hstack([windows[-1].view(np.uint64).reshape(starts.size, -1),
+                               live[starts, None].astype(np.uint64)]))
+    keys = np.vstack(keys)
+    _, first, at = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    index = np.repeat(at.reshape(-1), np.concatenate(runs)).reshape(len(sizes), n_blocks)
+    window = np.concatenate(windows)[first]
+    F = np.zeros((len(first), 2, b * 3 * b), dtype=complex)
+    F[..., scatter] = (window.reshape(-1, 2, m, 2 * w + 1).swapaxes(2, 3)
+                       .reshape(len(F), 2, scatter.size))
+    F = F.reshape(-1, 2, b, 3 * b)
+    mid = F[:, 0, :, b:2 * b]
+    return (mid + mid.conj().swapaxes(1, 2),
+            F[:, 1, :, :b] + F[:, 0, :, 2 * b:].conj().swapaxes(1, 2),
+            keys[first, -1].astype(int), index)
 
 
-def _negative_pivots(vals, floor, norm, k):
+def _negative_pivots(vals, floor, norm, level):
     """Negative eliminated eigenvalues per row; a pivot on its floor raises."""
     size = np.abs(vals)
-    if size.size and size.min() <= floor * max(norm, size.max()):
-        if np.any(size.min(-1) <= floor * np.maximum(norm, size.max(-1))):
-            raise AmbiguityError(
-                f"block Schur complement {k} of the section dilation is "
-                f"singular to working precision (pivot {size.min():.3g})")
+    if np.any(size.min(-1) <= floor * np.maximum(norm, size.max(-1))):
+        raise AmbiguityError(
+            f"block Schur complement at level {level} of the section dilation "
+            f"is singular to working precision (pivot {size.min():.3g})")
     return (vals < 0).sum(-1)
 
 
+def _distinct(*index):
+    """The distinct tuples of equally shaped index arrays, and where each sits."""
+    bases = [int(i.max(initial=0)) + 1 for i in index]
+    tuples, at = np.unique(np.ravel_multi_index(index, bases), return_inverse=True)
+    return np.unravel_index(tuples, bases), at.reshape(index[0].shape)
+
+
+def _eliminate(D, L, left, right, norm, level):
+    """Eliminate blocks D between the couplings L[left] and L[right].
+
+    Returns their negative eigenvalues, G = Y* diag(1/lambda) Y over the
+    eliminated eigendirections (rows Y: the couplings to the left and right
+    block; its diagonal blocks are the updates of those blocks, the lower
+    off-diagonal one their new coupling) and the directions carried to the
+    left and to the right.  A last, null triple stands for the missing
+    neighbour at a chain's end.
+    """
+    lam, Y = np.linalg.eigh(D)                  # eigenvectors, then their couplings
+    d = D.shape[-1]
+    Y = Y.conj().swapaxes(1, 2) @ np.concatenate([L[left], L[right].conj().swapaxes(1, 2)],
+                                                 axis=2)
+    lam, Y = np.vstack([lam, np.full(d, norm)]), np.concatenate([Y, 0 * Y[:1]])
+    weight = (np.abs(Y) ** 2).reshape(len(lam), d, 2, d).sum(-1)
+    defer = weight.sum(-1) > PIVOT_GROWTH * norm * np.abs(lam)
+    negative = _negative_pivots(np.where(defer, norm, lam), SCHUR_PIVOT_TOL * d,
+                                norm, level)
+    G = Y.conj().swapaxes(1, 2) @ (Y / np.where(defer, np.inf, lam)[..., None])
+    # a deferred direction joins the neighbour it couples to more strongly; per
+    # side, the carried ones come first, padded to one count with decoupled
+    # directions of eigenvalue norm
+    to_left = defer & (weight[..., 0] >= weight[..., 1])
+    carried = []
+    for mask in (to_left, defer & ~to_left):
+        r = mask.sum(-1)
+        order = np.argsort(~mask, axis=-1, kind="stable")[:, :r.max()]
+        keep = np.arange(r.max()) < r[:, None]
+        carried.append((np.where(keep, np.take_along_axis(lam, order, -1), norm),
+                        np.take_along_axis(Y, order[..., None], 1) * keep[..., None], r))
+    return negative, G, *carried
+
+
+def _reduction_level(D, L, live, blocks, links, norm, level):
+    """One level of the reduction: (negatives per chain, the next level).
+
+    Chains are the rows of ``blocks`` (pool entries of D, live) and
+    ``links`` (pool entries of L, the coupling to the next block; the last
+    of a chain is zero).  Each odd position is eliminated against its
+    neighbours; the even positions form the next level.
+    """
+    K, d = blocks.shape[1], D.shape[-1]
+    (tb, tl, tr), inv = _distinct(blocks[:, 1::2], links[:, :K - 1:2], links[:, 1::2])
+    negative, G, (lamL, YL, rL), (lamR, YR, rR) = _eliminate(D[tb], L, tl, tr, norm, level)
+    # each even block between its two odd neighbours (or the null triple):
+    # [updated block, directions carried from the right, from the left]
+    K2, null = (K + 1) // 2, np.full((len(blocks), 1), len(tb))
+    (tl, e, tr), at = _distinct(np.hstack([null, inv])[:, :K2], blocks[:, ::2],
+                                np.hstack([inv, null])[:, :K2])
+    RL, RR = YL.shape[1], YR.shape[1]
+    n = d + RL + RR
+    raw = np.zeros((len(e), n, n), dtype=complex)
+    raw[:, :d, :d] = D[e] - G[tl, d:, d:] - G[tr, :d, :d]
+    raw[:, d:d + RL, :d] = YL[tr, :, :d]
+    raw[:, d + RL:, :d] = YR[tl, :, d:]
+    raw[:, :d, d:] = raw[:, d:, :d].conj().swapaxes(1, 2)
+    raw.reshape(len(e), n * n)[:, d * (n + 1)::n + 1] = np.hstack([lamL[tr], lamR[tl]])
+    # live unknowns first; padding beyond the largest live count is dropped
+    pad = np.hstack([np.arange(d) >= live[e][:, None], np.arange(RL) >= rL[tr][:, None],
+                     np.arange(RR) >= rR[tl][:, None]])
+    live = live[e] + rL[tr] + rR[tl]
+    perm = np.argsort(pad, axis=1, kind="stable")[:, :live.max()]
+    D = raw[np.arange(len(e))[:, None, None], perm[:, :, None], perm[:, None, :]]
+    # the coupling of two even neighbours, through the odd block between them
+    (tm, lo, hi), at2 = _distinct(inv[:, :K2 - 1], at[:, :-1], at[:, 1:])
+    raw = np.zeros((len(tm), n, n), dtype=complex)
+    raw[:, :d, :d] = -G[tm, d:, :d]
+    raw[:, :d, d:d + RL] = YL[tm, :, d:].conj().swapaxes(1, 2)
+    raw[:, d + RL:, :d] = YR[tm, :, :d]
+    L = np.concatenate([np.zeros((1,) + D.shape[1:]), raw[
+        np.arange(len(tm))[:, None, None], perm[hi][:, :, None], perm[lo][:, None, :]]])
+    links = np.hstack([at2 + 1, np.zeros_like(at[:, :1])])   # L[0] is zero
+    return negative[inv].sum(1), (D, L, live, at, links)
+
+
 def _dilation_counts(A, sizes, thresholds, norm):
-    """#{sigma <= t} of every section and threshold, by block Sturm.
+    """#{sigma <= t} of every section and threshold, by block cyclic reduction.
 
     The dilation H has eigenvalues +-sigma, so #{sigma <= t} =
-    n - neg(H + tI).  Each step diagonalises the current Schur complement C
-    (the next diagonal block minus the updates of eliminated directions,
-    bordered by the directions carried over) and eliminates its
-    eigendirections; by Haynsworth additivity each adds its sign to
-    neg(H + tI).  A direction whose update ||y||^2 / |lambda| on the next
-    block would exceed PIVOT_GROWTH * ||A|| is carried into the next step
-    instead: pivoting in the eigenbasis, which bounds the growth of C.
-    All (size, threshold) pairs share one batched sweep, and a section
-    leaves the batch after its last block.
+    n - neg(H + tI).  Each level diagonalises every odd-position block and
+    eliminates its eigendirections against its two neighbours (Heller
+    1976): by Haynsworth additivity each adds its sign to neg(H + tI), and
+    the even blocks, updated and newly coupled, form the next level.  A
+    direction whose update ||y||^2 / |lambda| on the neighbours would exceed
+    PIVOT_GROWTH * ||A|| joins the neighbour it couples to more strongly
+    instead: pivoting in the eigenbasis, which bounds the growth of the
+    blocks.  Per threshold, the sections of all sizes share each level,
+    held as distinct blocks and couplings plus index arrays, so the linear
+    algebra runs once per distinct (block, left coupling, right coupling)
+    triple.  Padding unknowns stay exactly decoupled behind the live ones,
+    and each level keeps only as many as its largest block has live.
     """
-    S, T = len(sizes), len(thresholds)
-    b = 2 * A.bandwidth + 2
-    last = [2 * N // (A.bandwidth + 1) for N in sizes]   # block of row 2N
-    negative = np.zeros((S, T), dtype=int)
-    s0, update, lam, Yc = 0, 0.0, None, None     # lam, Yc: carried directions
-    rows, cols = np.arange(S)[:, None, None], np.arange(T)[None, :, None]
-    for k, (D, L) in enumerate(_dilation_blocks(A, sizes, thresholds, norm)):
-        C = D[s0:] - update
-        r = 0 if lam is None else lam.shape[-1]
-        if r:
-            n = r + b
-            B = np.zeros(C.shape[:2] + (n, n), dtype=complex)
-            B[:, :, r:, r:] = C
-            B[:, :, r:, :r] = Yc.swapaxes(2, 3)
-            B[:, :, :r, r:] = Yc.conj()
-            B.reshape(C.shape[:2] + (n * n,))[:, :, :r * (n + 1):n + 1] = lam
-            C = B
-        vals, vecs = np.linalg.eigh(C)
-        floor = SCHUR_PIVOT_TOL * C.shape[-1]
-        done = last[s0:].count(k)
-        if done:                                 # these sections end here
-            negative[s0:s0 + done] += _negative_pivots(vals[:done], floor, norm, k)
-            s0 += done
-            if s0 == S:
-                break
-            vals, vecs = vals[done:], vecs[done:]
-        # row j: the coupling of eigendirection j to the next block
-        Yt = vecs[:, :, r:].swapaxes(2, 3) @ L[s0:].swapaxes(1, 2)[:, None]
-        defer = (np.abs(Yt) ** 2).sum(-1) > PIVOT_GROWTH * norm * np.abs(vals)
-        lam = None
-        if defer.any():
-            r = int(defer.sum(-1).max())
-            if r > 4 * b:               # bounds the cost of a step
+    pool, L0, live0, index = _dilation_blocks(A, sizes)
+    b, counts = pool.shape[-1], []
+    for t in thresholds:
+        D = pool + np.eye(b) * np.where(np.arange(b) < live0[:, None], t, norm)[:, None]
+        L, live, blocks, links = L0, live0, index, index
+        negative, level = 0, 0
+        while blocks.shape[1] > 1:
+            found, (D, L, live, blocks, links) = _reduction_level(D, L, live, blocks, links,
+                                                                  norm, level)
+            negative, level = negative + found, level + 1
+            if D.shape[-1] > 6 * b:     # bounds the rounding floor of a level
                 raise AmbiguityError(
-                    f"{r} ill-conditioned directions at block {k} of the "
-                    "section dilation")
-            # deferred directions first; the first r of each row are carried
-            at = (rows[:S - s0], cols, np.argsort(~defer, axis=-1, kind="stable"))
-            vals, Yt = vals[at], Yt[at]
-            lam, Yc, vals, Yt = vals[..., :r], Yt[:, :, :r], vals[..., r:], Yt[:, :, r:]
-        negative[s0:] += _negative_pivots(vals, floor, norm, k)
-        update = (Yt / vals[..., None]).swapaxes(2, 3) @ Yt.conj()
-    return [[2 * N + 1 - int(negative[s, t]) for s, N in enumerate(sizes)]
-            for t in range(T)]
+                    f"{D.shape[-1]}-dimensional block at level {level} of the section "
+                    "dilation: too many ill-conditioned directions carried")
+        last, at = np.unique(blocks[:, 0], return_inverse=True)
+        negative += _negative_pivots(np.linalg.eigvalsh(D[last]),
+                                     SCHUR_PIVOT_TOL * D.shape[-1], norm, level)[at]
+        counts.append([2 * N + 1 - int(k) for N, k in zip(sizes, negative)])
+    return counts
 
 
 def finite_section_analysis(A, sizes, eps=DEFAULT_SECTION_EPS):
@@ -630,9 +711,10 @@ def finite_section_analysis(A, sizes, eps=DEFAULT_SECTION_EPS):
       section in [-t, t] by two Sturm sweeps, and takes the norm from the
       two ends of the largest section's spectrum;
     * any other band counts the negative eigenvalues of its Golub-Kahan
-      dilation shifted by t with one batched block Sturm sweep over all
-      sizes and thresholds, and takes the norm by bisection with banded
-      Cholesky on the Gram matrix of the largest section.
+      dilation shifted by t by block cyclic reduction, one level at a time
+      for all sizes over their distinct blocks, and takes the norm by
+      bisection with banded Cholesky on the Gram matrix of the largest
+      section.
 
     The flag is a heuristic:
 

@@ -657,11 +657,10 @@ def verify_spectrum_decomposition(G, cover, seed=0, dec=None):
 
     if dec is None:
         dec = block_decomposition(G, seed=seed)
-    images, outsides = [], []
-    for U in cover:
-        ind = induction_map(G, U, seed=seed, dec=dec)
-        images.append(frozenset(ind.mapping.values()))
-        outsides.append(ind.prim_outside)
+    # equal cover sets induce from the same reduction: decompose it once
+    induced = {U: induction_map(G, U, seed=seed, dec=dec) for U in dict.fromkeys(cover)}
+    images = [frozenset(induced[U].mapping.values()) for U in cover]
+    outsides = [induced[U].prim_outside for U in cover]
     prim_all = frozenset(dec.labels)
     union = frozenset().union(*images) if images else frozenset()
     return SpectrumDecompositionReport(

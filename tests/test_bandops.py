@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -236,6 +238,52 @@ def _dense_section_check(A, steps, eps):
     assert report.window_counts == tuple(int(np.sum(s <= report.window))
                                          for s in svals)
     assert abs(report.norm_estimate - svals[-1][0]) < 1e-9
+
+
+def _general_band(rng, w):
+    """A non-Hermitian band of bandwidth w with a core and distinct limits."""
+    def draw():
+        return complex(rng.standard_normal(), rng.standard_normal())
+    return BandOperator({k: Diagonal(draw(), draw(), ((-2, draw()), (0, draw()), (3, draw())))
+                         for k in range(-w, w + 1)})
+
+
+@pytest.mark.parametrize("w", [1, 2])
+@pytest.mark.parametrize("largest", [160, 161])
+@pytest.mark.parametrize("eps", [1e-6, 1e-9])
+def test_general_sections_match_dense_over_long_constant_runs(w, largest, eps):
+    # constant runs span dozens of blocks, which the reduction holds once;
+    # the largest size sets an odd (160) or even (161) count of blocks
+    # for w = 1 (N + 1 of them) and for w = 2 (107 and 108)
+    rng = rng_from_seed(40 + w)
+    sizes, checked = (40, 80, largest), 0
+    for _ in range(4):
+        A = _general_band(rng, w)
+        report = finite_section_analysis(A, sizes, eps)
+        svals = [np.linalg.svd(A.truncation(N), compute_uv=False) for N in sizes]
+        if any(np.min(np.abs(s - t)) <= 1e-10 * s[0]
+               for s in svals for t in (eps, report.window)):
+            continue                    # within the reduction's floor of a threshold
+        assert report.counts == tuple(int(np.sum(s <= eps)) for s in svals)
+        assert report.window_counts == tuple(int(np.sum(s <= report.window))
+                                             for s in svals)
+        checked += 1
+    assert checked >= 3
+
+
+def test_general_section_memory_stays_flat():
+    # the reduction holds distinct blocks plus index arrays; building every
+    # block of every size would take about 22 MB here
+    rng = rng_from_seed(39)
+    A = _general_band(rng, 2)
+    finite_section_analysis(A, [64, 128])
+    tracemalloc.start()
+    try:
+        finite_section_analysis(A, [1024, 2048, 4096])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def test_finite_sections_resolve_exact_zeros_below_the_gram_floor():

@@ -534,6 +534,24 @@ def test_spectrum_decomposition_examples():
     assert rep.ok and rep.images == (rep.prim_all,)
 
 
+def test_spectrum_decomposition_induces_each_distinct_cover_set_once(monkeypatch):
+    from gcstar import spectrum
+    calls = []
+
+    def counted(G, U, **kwargs):
+        calls.append(frozenset(U))
+        return induction_map(G, U, **kwargs)
+
+    D = disjoint_pair_z2()
+    cover = [{"1", "2"}, {"3"}, {"2", "1"}, {"3"}]
+    expected = verify_spectrum_decomposition(D, cover, seed=1)
+    monkeypatch.setattr(spectrum, "induction_map", counted)
+    rep = verify_spectrum_decomposition(D, cover, seed=1)
+    assert calls == [frozenset({"1", "2"}), frozenset({"3"})]
+    assert rep == expected and len(rep.images) == len(rep.outside_sets) == 4
+    assert rep.images[0] == rep.images[2] and rep.images[1] == rep.images[3]
+
+
 def test_spectrum_decomposition_requires_admissible_cover():
     D = disjoint_pair_z2()
     with pytest.raises(CoverPreconditionError):
