@@ -10,8 +10,8 @@ from .bandops import (BandOperator, Diagonal, FiniteSectionReport,
                       finite_section_analysis, fredholm_verdict,
                       limit_operator, locality_check, symbol_invertible)
 from .convolution import (ArrowFunction, RepMatrix, convolve, involution,
-                          reduced_norm, regular_rep, scale_by_unit_function,
-                          unit_projection)
+                          left_regular_rep, reduced_norm, regular_rep,
+                          scale_by_unit_function, unit_projection)
 from .errors import (AmbiguityError, CoverPreconditionError,
                      GluingConditionError, GridRefinementNeeded, InputError)
 from .gluing import (GluingFamily, GluingReport, check_weak_gluing,

@@ -495,9 +495,10 @@ def _gram_norm(A, N):
     hi = sum(max(abs(d.limit_minus), abs(d.limit_plus), *(abs(v) for _, v in d.core))
              for d in A.diagonals.values()) ** 2
     np.negative(bands, out=bands)
+    trial = np.empty_like(bands, order="F")     # zpbtrf factors it in place
     while hi - lo > np.finfo(float).eps * hi:
         mid = 0.5 * (lo + hi)
-        trial = bands.copy()
+        trial[...] = bands
         trial[-1] += mid
         if zpbtrf(trial, overwrite_ab=1)[1] == 0:
             hi = mid

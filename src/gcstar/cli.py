@@ -69,15 +69,13 @@ def resolve_input(path):
 
 def _parse_sizes(text):
     try:
-        sizes = tuple(int(s) for s in text.split(","))
+        return tuple(int(s) for s in text.split(","))
     except ValueError:
         raise InputError(f"cannot parse sizes {text!r}") from None
-    return sizes
 
 
 def _emit(report, config):
-    text = report.write(config.out)
-    sys.stdout.write(text)
+    sys.stdout.write(report.write(config.out))
 
 
 # -- subcommand bodies --------------------------------------------------------

@@ -10,11 +10,16 @@ a unit x acts on the finite-dimensional fiber space spanned by d^{-1}(x) via
 left convolution.  The reduced norm is the largest operator norm over units
 (one unit per orbit suffices); for finite groupoids it is the unique C*-norm
 on the algebra.
+
+A function is one complex vector over the arrow positions of ``G.table``,
+so the involution gathers through ``inverse``, and convolution and the
+regular representations gather through ``product``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -25,18 +30,23 @@ from .groupoid import orbits
 class ArrowFunction:
     """A complex-valued function on the arrows of a fixed groupoid.
 
-    Missing arrows read as zero; exact zeros are dropped from the table.
+    ``vec[i]`` is the value on ``parent.arrows[i]``; the constructor takes an
+    ``{id: value}`` mapping, :meth:`from_vector` the vector itself.
     """
 
-    __slots__ = ("parent", "values")
+    __slots__ = ("parent", "vec")
 
     def __init__(self, parent, values=()):
-        self.parent = parent
         table = dict(values)
-        stray = set(table) - set(parent.arrows)
-        if stray:
-            raise InputError(f"values on unknown arrows {sorted(stray)}")
-        self.values = {g: complex(v) for g, v in table.items() if v != 0}
+        self.parent, self.vec = parent, np.zeros(parent.n_arrows(), dtype=complex)
+        self.vec[parent.table.positions(table)] = list(table.values())
+
+    @classmethod
+    def from_vector(cls, parent, vec):
+        """The function with values ``vec`` over ``parent.arrows``, not copied."""
+        f = cls.__new__(cls)
+        f.parent, f.vec = parent, np.asarray(vec, dtype=complex)
+        return f
 
     @classmethod
     def delta(cls, parent, arrow, value=1.0):
@@ -46,22 +56,25 @@ class ArrowFunction:
     def zero(cls, parent):
         return cls(parent)
 
+    @property
+    def values(self):
+        """The nonzero values, a read-only ``{id: value}`` view in arrow order."""
+        arrows, nonzero = self.parent.arrows, np.flatnonzero(self.vec).tolist()
+        return MappingProxyType({arrows[i]: v for i, v in zip(nonzero, self.vec[nonzero].tolist())})
+
     def __call__(self, arrow):
-        return self.values.get(arrow, 0j)
+        i = self.parent.table.position.get(arrow)
+        return 0j if i is None else complex(self.vec[i])
 
     def __add__(self, other):
         self._same_parent(other)
-        table = dict(self.values)
-        for g, v in other.values.items():
-            table[g] = table.get(g, 0j) + v
-        return ArrowFunction(self.parent, table)
+        return ArrowFunction.from_vector(self.parent, self.vec + other.vec)
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __mul__(self, scalar):
-        return ArrowFunction(self.parent,
-                             {g: scalar * v for g, v in self.values.items()})
+        return ArrowFunction.from_vector(self.parent, scalar * self.vec)
 
     __rmul__ = __mul__
 
@@ -70,52 +83,53 @@ class ArrowFunction:
 
     def star(self):
         """The involution f*(g) = conj(f(g^{-1}))."""
-        G = self.parent
-        return ArrowFunction(G, {G.inverse[g]: np.conj(v)
-                                 for g, v in self.values.items()})
+        return ArrowFunction.from_vector(self.parent, np.conj(self.vec[self.parent.table.inverse]))
 
     def support(self):
-        return frozenset(self.values)
+        return frozenset(self.parent.arrows[i] for i in np.flatnonzero(self.vec))
 
     def extend_to(self, parent):
-        """The same table read over a larger groupoid containing these ids."""
-        return ArrowFunction(parent, self.values)
+        """The same function read over a larger groupoid containing these arrows."""
+        if parent is self.parent:
+            return self
+        vec = np.zeros(parent.n_arrows(), dtype=complex)
+        vec[parent.table.positions(self.parent.arrows)] = self.vec
+        return ArrowFunction.from_vector(parent, vec)
 
     def max_abs_difference(self, other):
         self._same_parent(other)
-        keys = set(self.values) | set(other.values)
-        if not keys:
-            return 0.0
-        return max(abs(self(g) - other(g)) for g in keys)
+        return float(np.abs(self.vec - other.vec).max(initial=0.0))
 
     def _same_parent(self, other):
         if self.parent.arrows != other.parent.arrows:  # sorted and distinct
             raise InputError("arrow functions live on different groupoids")
 
     def __repr__(self):
-        return f"ArrowFunction({len(self.values)} nonzero of {self.parent.n_arrows()})"
+        return f"ArrowFunction({np.count_nonzero(self.vec)} nonzero of {self.parent.n_arrows()})"
 
 
 def convolve(f, g):
     """Convolution product with counting measure on the fibers."""
     f._same_parent(g)
-    G, T = f.parent, f.parent.table
     # x = z y for z with dom(z) = ran(y); then x y^{-1} = z.  Terms run y
-    # outer, z inner; each x sums its terms, and is listed, in that order.
-    products = T.product[T.positions(f.values), T.positions(g.values)[:, None]]
+    # outer, z inner, over the supports in arrow order; each x sums its
+    # terms in that order, the real part in bin 2x and the imaginary in 2x + 1.
+    zs, ys = np.flatnonzero(f.vec), np.flatnonzero(g.vec)
+    products = f.parent.table.product[zs, ys[:, None]]
     y, z = np.nonzero(products >= 0)
-    xs = products[y, z]
-    fv, gv = _parts(f), _parts(g)
-    # Python's complex product, spelled out so every term rounds the same way
-    re = np.bincount(xs, fv.real[z] * gv.real[y] - fv.imag[z] * gv.imag[y], G.n_arrows())
-    im = np.bincount(xs, fv.real[z] * gv.imag[y] + fv.imag[z] * gv.real[y], G.n_arrows())
-    _, first = np.unique(xs, return_index=True)
-    return ArrowFunction(G, {G.arrows[x]: complex(re[x], im[x])
-                             for x in xs[np.sort(first)].tolist()})
+    terms = _product(f.vec[zs[z]], g.vec[ys[y]]).view(float)
+    bins = (2 * products[y, z][:, None] + [0, 1]).ravel()
+    return ArrowFunction.from_vector(f.parent,
+                                     np.bincount(bins, terms, 2 * len(f.vec)).view(complex))
 
 
-def _parts(f):
-    return np.fromiter(f.values.values(), complex, len(f.values))
+def _product(a, b):
+    """a * b, spelled out as Python's complex product so that every term
+    rounds the same way."""
+    out = np.empty(len(a), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def involution(f):
@@ -124,15 +138,13 @@ def involution(f):
 
 @dataclass(frozen=True)
 class RepMatrix:
-    """A regular-representation matrix on the ordered fiber basis."""
+    """A regular-representation matrix on an ordered basis of arrows."""
 
     basis: tuple
     matrix: np.ndarray
 
     def norm(self):
-        if self.matrix.size == 0:
-            return 0.0
-        return float(np.linalg.norm(self.matrix, 2))
+        return float(np.linalg.norm(self.matrix, 2)) if self.matrix.size else 0.0
 
 
 def regular_rep(G, x, f):
@@ -143,14 +155,28 @@ def regular_rep(G, x, f):
     """
     if x not in G.units:
         raise InputError(f"{x!r} is not a unit")
-    basis, T = G.fiber(x), G.table
-    fiber = T.positions(basis)
+    return RepMatrix(G.fiber(x), _left_translates(G.table, f.vec, G.table.positions(G.fiber(x))))
+
+
+def left_regular_rep(G, f):
+    """The matrix of xi -> f * xi on l^2(G), over all arrows in id order.
+
+    It is the direct sum of the fiber representations of :func:`regular_rep`:
+    entries between arrows of different fibers are exact zeros.
+    """
+    return RepMatrix(G.arrows, _left_translates(G.table, f.vec, np.arange(G.n_arrows())))
+
+
+def _left_translates(T, vec, basis):
+    """Left convolution by ``vec`` on the span of ``basis``: ascending arrow
+    positions that make up whole fibers."""
     # f(g y^{-1}) with g = z y: cell (z y, y) gets f(z); z y = z' y forces z = z'
-    products = T.product[T.positions(f.values)[:, None], fiber]
+    zs = np.flatnonzero(vec)
+    products = T.product[zs[:, None], basis]
     z, y = np.nonzero(products >= 0)
     M = np.zeros((len(basis), len(basis)), dtype=complex)
-    M[np.searchsorted(fiber, products[z, y]), y] += _parts(f)[z]
-    return RepMatrix(basis, M)
+    M[np.searchsorted(basis, products[z, y]), y] += vec[zs[z]]
+    return M
 
 
 def reduced_norm(G, f):
@@ -159,10 +185,8 @@ def reduced_norm(G, f):
     Regular representations at units of one orbit are unitarily equivalent,
     so one unit per orbit, the first in unit order, is visited.
     """
-    best = 0.0
-    for orb in orbits(G):
-        best = max(best, regular_rep(G, min(orb, key=G.units.index), f).norm())
-    return best
+    return max((regular_rep(G, min(orb, key=G.units.index), f).norm() for orb in orbits(G)),
+               default=0.0)
 
 
 def unit_projection(G, A):
@@ -174,11 +198,13 @@ def unit_projection(G, A):
     stray = set(A) - set(G.units)
     if stray:
         raise InputError(f"subset members {sorted(map(str, stray))} are not units")
-    return ArrowFunction(G, {G.unit_arrow[x]: 1.0 for x in A})
+    vec = np.zeros(G.n_arrows(), dtype=complex)
+    vec[G.table.positions(G.unit_arrow[x] for x in A)] = 1.0
+    return ArrowFunction.from_vector(G, vec)
 
 
 def scale_by_unit_function(phi, f):
     """The pointwise product (phi o ran) . f for phi a function on units."""
     G = f.parent
-    return ArrowFunction(G, {g: phi.get(G.ran[g], 0j) * v
-                             for g, v in f.values.items()})
+    weights = np.array([phi.get(x, 0j) for x in G.units], dtype=complex)
+    return ArrowFunction.from_vector(G, _product(weights[G.table.ran], f.vec))

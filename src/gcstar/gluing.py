@@ -23,6 +23,7 @@ longer be a groupoid over X.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import AmbiguityError, GluingConditionError, InputError
@@ -50,19 +51,10 @@ class GluingFamily:
         for U, piece in zip(self.cover, self.pieces):
             if set(piece.units) != U:
                 raise InputError("piece units do not match its cover subset")
-        self.unit_space = []
-        for piece in self.pieces:
-            for x in piece.units:
-                if x not in self.unit_space:
-                    self.unit_space.append(x)
-        self.unit_space = tuple(self.unit_space)
-
-        self.overlaps = {}
+        self.unit_space = tuple(dict.fromkeys(x for piece in self.pieces for x in piece.units))
         n = len(self.pieces)
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    self.overlaps[(i, j)] = self.cover[i] & self.cover[j]
+        self.overlaps = {(i, j): self.cover[i] & self.cover[j]
+                         for i, j in itertools.product(range(n), repeat=2) if i != j}
 
         self.isos = {}
         given = dict(isos)
@@ -150,38 +142,24 @@ def check_weak_gluing(family):
                 pinning.append((i, j, x, phi.unit_map[x]))
 
     # Cocycle over ordered triples; (i, j, i) recovers phi_ij o phi_ji = id.
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if len({i, j, k}) == 1:
-                    continue
-                triple_overlap = family.cover[i] & family.cover[j] & family.cover[k]
-                if not triple_overlap:
-                    continue
-                phi_ji = family.phi(i, j)
-                phi_kj = family.phi(j, k)
-                phi_ki = family.phi(i, k)
-                piece = family.pieces[i]
-                for g in piece.arrows:
-                    if piece.dom[g] not in triple_overlap \
-                            or piece.ran[g] not in triple_overlap:
-                        continue
-                    via = phi_kj.arrow_map.get(phi_ji.arrow_map.get(g))
-                    direct = phi_ki.arrow_map.get(g)
-                    if via != direct:
-                        cocycle.append((i, j, k, g, via, direct))
+    for i, j, k in itertools.product(range(n), repeat=3):
+        triple_overlap = family.cover[i] & family.cover[j] & family.cover[k]
+        if len({i, j, k}) == 1 or not triple_overlap:
+            continue
+        phi_ji, phi_kj, phi_ki = family.phi(i, j), family.phi(j, k), family.phi(i, k)
+        piece = family.pieces[i]
+        for g in piece.arrows:
+            if piece.dom[g] in triple_overlap and piece.ran[g] in triple_overlap:
+                via = phi_kj.arrow_map.get(phi_ji.arrow_map.get(g))
+                direct = phi_ki.arrow_map.get(g)
+                if via != direct:
+                    cocycle.append((i, j, k, g, via, direct))
 
     # Lifting of composable pairs across pieces.
-    for i in range(n):
-        Pi = family.pieces[i]
-        for j in range(n):
-            Pj = family.pieces[j]
-            for g in Pi.arrows:
-                for h in Pj.arrows:
-                    if Pi.dom[g] != Pj.ran[h]:
-                        continue
-                    if _find_lifts(family, i, g, j, h):
-                        continue
+    for (i, Pi), (j, Pj) in itertools.product(enumerate(family.pieces), repeat=2):
+        for g in Pi.arrows:
+            for h in Pj.arrows:
+                if Pi.dom[g] == Pj.ran[h] and not _find_lifts(family, i, g, j, h):
                     lifting.append((i, j, g, h))
 
     return GluingReport(tuple(pinning), tuple(cocycle), tuple(lifting))

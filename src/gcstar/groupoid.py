@@ -211,7 +211,10 @@ class ArrowTable:
 
     def positions(self, ids):
         """Positions of the arrow ids ``ids``, as an int array."""
-        return _lookup(self.position, ids)
+        try:
+            return _lookup(self.position, ids)
+        except KeyError as exc:
+            raise InputError(f"arrow {exc} lies outside the algebra") from None
 
 
 def _lookup(index, keys):
@@ -401,17 +404,10 @@ def orbits(G):
     uf = UnionFind(G.units)
     for g in G.arrows:
         uf.union(G.dom[g], G.ran[g])
-    find = uf.find
-    groups = {}
+    groups = {}  # listed by their first unit
     for x in G.units:
-        groups.setdefault(find(x), []).append(x)
-    seen, out = set(), []
-    for x in G.units:
-        root = find(x)
-        if root not in seen:
-            seen.add(root)
-            out.append(frozenset(groups[root]))
-    return tuple(out)
+        groups.setdefault(uf.find(x), []).append(x)
+    return tuple(frozenset(v) for v in groups.values())
 
 
 def isotropy(G, x):
@@ -504,16 +500,11 @@ def action_groupoid(units, group, act):
     dom, ran, inverse, compose = {}, {}, {}, {}
     for x in units:
         for g in group.elements:
-            a = aid(x, g)
-            ran[a] = x
-            dom[a] = action[(x, group.inv(g))]
-            inverse[a] = aid(action[(x, group.inv(g))], group.inv(g))
-    unit_arrow = {x: aid(x, group.identity) for x in units}
-    for x in units:
-        for g in group.elements:
-            y = action[(x, group.inv(g))]
+            a, y = aid(x, g), action[(x, group.inv(g))]
+            ran[a], dom[a], inverse[a] = x, y, aid(y, group.inv(g))
             for h in group.elements:
-                compose[(aid(x, g), aid(y, h))] = aid(x, group.mul(h, g))
+                compose[(a, aid(y, h))] = aid(x, group.mul(h, g))
+    unit_arrow = {x: aid(x, group.identity) for x in units}
     return FiniteGroupoid(units, dom, ran, inverse, unit_arrow, compose)
 
 
@@ -649,13 +640,11 @@ class GroupoidMorphism:
         return bad
 
     def is_isomorphism(self):
-        if self.check():
-            return False
-        units_onto = len(set(self.unit_map.values())) == len(self.target.units)
-        arrows_onto = len(set(self.arrow_map.values())) == len(self.target.arrows)
-        return (units_onto and arrows_onto
-                and len(set(self.unit_map.values())) == len(self.unit_map)
-                and len(set(self.arrow_map.values())) == len(self.arrow_map))
+        """A morphism that is one-to-one and onto on units and on arrows."""
+        units, arrows = self.unit_map.values(), self.arrow_map.values()
+        return (not self.check()
+                and len(set(units)) == len(units) == len(self.target.units)
+                and len(set(arrows)) == len(arrows) == len(self.target.arrows))
 
     def inverse_morphism(self):
         if not self.is_isomorphism():

@@ -52,12 +52,9 @@ def group_isomorphism(A, B):
         return mapping
 
     def extend(mapping, used):
-        if len(mapping) == len(A.elements):
-            if len(set(mapping.values())) != len(A.elements):
-                return None
+        if len(mapping) == len(A.elements):  # injective: every trial is checked
             return mapping
-        pending = [a for a in A.elements if a not in mapping]
-        a = pending[0]
+        a = next(a for a in A.elements if a not in mapping)
         for b in b_by_order[a_order[a]]:
             if b in used:
                 continue

@@ -85,9 +85,10 @@ def random_admissible_cover(rng, G, max_sets=3):
     return [frozenset(c) for c in cover if c]
 
 def random_arrow_function(rng, G, arrows=None):
-    arrows = tuple(arrows if arrows is not None else G.arrows)
-    values = rng.standard_normal(len(arrows)) + 1j * rng.standard_normal(len(arrows))
-    return ArrowFunction(G, dict(zip(arrows, values)))
+    at = np.arange(G.n_arrows()) if arrows is None else G.table.positions(arrows)
+    vec = np.zeros(G.n_arrows(), dtype=complex)
+    vec[at] = rng.standard_normal(len(at)) + 1j * rng.standard_normal(len(at))
+    return ArrowFunction.from_vector(G, vec)
 
 
 def random_core(rng, width=4, scale=1.0):

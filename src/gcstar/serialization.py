@@ -1,7 +1,8 @@
 """JSON file formats for groupoids, arrow functions, band operators, families.
 
-All formats are plain JSON.  Units are strings in files; arrow ids are
-integers.  Complex numbers are encoded as [real, imag] pairs (bare reals are
+All formats are plain JSON.  Units are strings in files; arrow ids are JSON
+integers (a bool or a float is an input error), and no arrow record, table
+entry or arrow-function id may repeat.  Complex numbers are encoded as [real, imag] pairs (bare reals are
 accepted when loading).
 """
 
@@ -29,6 +30,23 @@ def _complex_in(v):
     if isinstance(v, (list, tuple)) and len(v) == 2:
         return complex(float(v[0]), float(v[1]))
     raise InputError(f"cannot read {v!r} as a complex number")
+
+
+def _arrow_id(v):
+    """An arrow id as a file states it: a JSON integer, never a bool or a float."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise InputError(f"arrow id {v!r} is not an integer")
+
+
+def _unique(pairs, what):
+    """A dict of (key, value) pairs in which no key repeats."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise InputError(f"repeated {what} {key!r}")
+        out[key] = value
+    return out
 
 
 def load_json(path):
@@ -63,15 +81,19 @@ def groupoid_to_dict(G):
 def groupoid_from_dict(data):
     try:
         units = [str(x) for x in data["units"]]
-        dom = {int(rec["id"]): str(rec["dom"]) for rec in data["arrows"]}
-        ran = {int(rec["id"]): str(rec["ran"]) for rec in data["arrows"]}
-        inverse = {int(g): int(gi) for g, gi in data["inverse"]}
-        compose = {(int(g), int(h)): int(k) for g, h, k in data["compose"]}
-    except (KeyError, TypeError, ValueError) as exc:
+        records = _unique(((_arrow_id(rec["id"]), rec) for rec in data["arrows"]),
+                          "arrow record")
+        dom = {g: str(rec["dom"]) for g, rec in records.items()}
+        ran = {g: str(rec["ran"]) for g, rec in records.items()}
+        inverse = _unique(((_arrow_id(g), _arrow_id(gi)) for g, gi in data["inverse"]),
+                          "inverse entry")
+        compose = _unique((((_arrow_id(g), _arrow_id(h)), _arrow_id(k))
+                           for g, h, k in data["compose"]), "product entry")
+        unit_arrow = ({str(x): _arrow_id(a) for x, a in data["unit_arrows"].items()}
+                      if "unit_arrows" in data else None)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed groupoid document: {exc}") from None
-    if "unit_arrows" in data:
-        unit_arrow = {str(x): int(a) for x, a in data["unit_arrows"].items()}
-    else:
+    if unit_arrow is None:
         # infer: the unit at x is the unique idempotent loop at x
         unit_arrow = {}
         for g in dom:
@@ -114,7 +136,8 @@ def save_arrow_function(path, f):
 def load_arrow_function(path, G):
     data = load_json(path)
     try:
-        values = {int(g): complex(float(re), float(im)) for g, re, im in data}
+        values = _unique(((_arrow_id(g), complex(float(re), float(im))) for g, re, im in data),
+                         "arrow-function id")
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed arrow function document: {exc}") from None
     return ArrowFunction(G, values)
@@ -206,7 +229,8 @@ def gluing_family_from_dict(data, base_dir="."):
         isos = {}
         for rec in data["isos"]:
             i, j = int(rec["src"]), int(rec["dst"])
-            arrow_map = {int(g): int(img) for g, img in rec["map"]}
+            arrow_map = _unique(((_arrow_id(g), _arrow_id(img)) for g, img in rec["map"]),
+                                "overlap map entry")
             overlap = cover[i] & cover[j]
             src = reduction(pieces[i], overlap)
             dst = reduction(pieces[j], overlap)

@@ -183,14 +183,9 @@ class Block:
     arrow_norms: np.ndarray = field(repr=False, compare=False)
 
     def apply(self, alg, f):
-        """The block image of an arrow function (sub-arrow-set tables allowed)."""
-        G = alg.groupoid
-        unknown = f.values.keys() - G.table.position.keys()
-        if unknown:
-            raise InputError(f"values on arrows {sorted(unknown)} outside the algebra")
-        coeffs = np.zeros(G.n_arrows(), dtype=complex)
-        coeffs[G.table.positions(f.values)] = list(f.values.values())
-        return np.tensordot(coeffs, alg.images(self.isometry), axes=1)
+        """The block image sum_g f(g) Q* A_g Q of a function on the algebra's
+        groupoid, or on a reduction of it read through ``extend_to``."""
+        return np.tensordot(f.extend_to(alg.groupoid).vec, alg.images(self.isometry), axes=1)
 
 
 @dataclass(frozen=True)
@@ -254,18 +249,14 @@ class BlockDecomposition:
 
 def _cluster_eigenvalues(eigenvalues, tol, gray):
     """Split a sorted eigenvalue array at gaps > tol; gray-zone gaps error out."""
-    splits = [0]
-    for i in range(1, len(eigenvalues)):
-        gap = eigenvalues[i] - eigenvalues[i - 1]
-        if gap > tol:
-            if gap < gray:
-                raise AmbiguityError(
-                    f"eigenvalue gap {gap:.3e} falls between the cluster "
-                    f"tolerance and its safety margin; re-run with a "
-                    f"different seed")
-            splits.append(i)
-    splits.append(len(eigenvalues))
-    return [(splits[k], splits[k + 1]) for k in range(len(splits) - 1)]
+    gaps = np.diff(eigenvalues)
+    unsure = gaps[(gaps > tol) & (gaps < gray)]
+    if unsure.size:
+        raise AmbiguityError(f"eigenvalue gap {unsure[0]:.3e} falls between the cluster "
+                             f"tolerance and its safety margin; re-run with a "
+                             f"different seed")
+    splits = [0, *(np.flatnonzero(gaps > tol) + 1).tolist(), len(eigenvalues)]
+    return list(zip(splits[:-1], splits[1:]))
 
 
 def wedderburn(alg, seed=0, cluster_tol=CLUSTER_TOL):
@@ -314,17 +305,11 @@ def wedderburn(alg, seed=0, cluster_tol=CLUSTER_TOL):
         return (grp["dim"], tuple(zip(r.real.tolist(), r.imag.tolist())))
 
     groups.sort(key=sort_key)
-    blocks = []
-    for i, grp in enumerate(groups):
-        blocks.append(Block(
-            label=f"B{i}",
-            dim=grp["dim"],
-            multiplicity=grp["count"],
-            isometry=grp["isometry"],
-            traces=tuple(grp["traces"]),
-            arrow_norms=_spectral_norms(grp["images"]),
-        ))
-    dec = BlockDecomposition(alg, tuple(blocks))
+    dec = BlockDecomposition(alg, tuple(
+        Block(label=f"B{i}", dim=grp["dim"], multiplicity=grp["count"],
+              isometry=grp["isometry"], traces=tuple(grp["traces"]),
+              arrow_norms=_spectral_norms(grp["images"]))
+        for i, grp in enumerate(groups)))
     _verify_blocks(dec)
     return dec
 
@@ -599,7 +584,7 @@ def check_norm_estimates(G, U, trials=20, seed=0, dec=None, dec_red=None):
     max_reg = 0.0
     for _ in range(trials):
         coeffs = rng.standard_normal(GU.n_arrows()) + 1j * rng.standard_normal(GU.n_arrows())
-        f_red = ArrowFunction(GU, dict(zip(GU.arrows, coeffs)))
+        f_red = ArrowFunction.from_vector(GU, coeffs)
         f_up = f_red.extend_to(G)
         norms_red = dec_red.block_norms(f_red)
         norms_up = dec.block_norms(f_up)
@@ -740,11 +725,8 @@ def check_regular_family_faithful(G, seed=0, dec=None):
     """One regular representation per orbit exhausts the spectrum."""
     if dec is None:
         dec = block_decomposition(G, seed=seed)
-    union = set()
-    for orb in orbits(G):
-        base = min(orb, key=lambda u: G.units.index(u))
-        union |= regular_support(G, base, dec)
-    return union == set(dec.labels)
+    return set().union(*(regular_support(G, min(orb, key=G.units.index), dec)
+                         for orb in orbits(G))) == set(dec.labels)
 
 
 # -- the linking-space data over a subset ---------------------------------------

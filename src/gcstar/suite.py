@@ -18,7 +18,7 @@ import numpy as np
 from . import fixtures
 from .bandops import (finite_section_analysis, limit_operator, locality_check,
                       symbol_invertible)
-from .convolution import convolve, involution, regular_rep, reduced_norm
+from .convolution import convolve, involution, left_regular_rep, reduced_norm
 from .errors import GluingConditionError
 from .gluing import check_weak_gluing, glue
 from .groupoid import reduction, validate
@@ -67,13 +67,13 @@ def criterion_algebra_axioms(seed=0, instances=200, tol=1e-9):
             anti = involution(convolve(f, g)).max_abs_difference(
                 convolve(involution(g), involution(f)))
             worst = max(worst, assoc, anti)
-            for x in G.units:
-                Mf = regular_rep(G, x, f).matrix
-                Mg = regular_rep(G, x, g).matrix
-                Mfg = regular_rep(G, x, convolve(f, g)).matrix
-                Mfs = regular_rep(G, x, involution(f)).matrix
-                worst = max(worst, float(np.max(np.abs(Mfg - Mf @ Mg))))
-                worst = max(worst, float(np.max(np.abs(Mfs - Mf.conj().T))))
+            # on l^2(G), the direct sum of the regular representations at all units
+            Mf = left_regular_rep(G, f).matrix
+            Mg = left_regular_rep(G, g).matrix
+            Mfg = left_regular_rep(G, convolve(f, g)).matrix
+            Mfs = left_regular_rep(G, involution(f)).matrix
+            worst = max(worst, float(np.max(np.abs(Mfg - Mf @ Mg))),
+                        float(np.max(np.abs(Mfs - Mf.conj().T))))
             cstar = abs(reduced_norm(G, convolve(involution(f), f))
                         - reduced_norm(G, f) ** 2)
             worst = max(worst, cstar)
@@ -188,33 +188,27 @@ def criterion_limit_operator_verdicts(seed=0, instances=100):
     return _timed(6, "limit-operator-verdicts", body)
 
 
+FLAG_VERDICT = {"CONSISTENT-FREDHOLM": True, "CONSISTENT-NONFREDHOLM": False}
+
+
 def criterion_finite_sections(seed=0, per_class=20, sizes=(256, 512, 1024),
                               eps=1e-6, required_rate=0.95):
     """Truncation diagnostics agree with the symbolic verdict."""
 
     def body():
         rng = rng_from_seed(seed)
-        n_f = n_n = consistent = opposite = 0
-        while n_f < per_class or n_n < per_class:
+        drawn = {True: 0, False: 0}   # instances kept, per oracle verdict
+        consistent = opposite = 0
+        while min(drawn.values()) < per_class:
             A, oracle_fredholm, _ = random_selfadjoint_tridiagonal(rng)
-            if oracle_fredholm and n_f >= per_class:
+            if drawn[oracle_fredholm] >= per_class:
                 continue
-            if not oracle_fredholm and n_n >= per_class:
-                continue
-            report = finite_section_analysis(A, list(sizes), eps)
-            expected = ("CONSISTENT-FREDHOLM" if oracle_fredholm
-                        else "CONSISTENT-NONFREDHOLM")
-            unwanted = ("CONSISTENT-NONFREDHOLM" if oracle_fredholm
-                        else "CONSISTENT-FREDHOLM")
-            if report.flag == expected:
-                consistent += 1
-            elif report.flag == unwanted:
-                opposite += 1
-            if oracle_fredholm:
-                n_f += 1
-            else:
-                n_n += 1
-        total = n_f + n_n
+            drawn[oracle_fredholm] += 1
+            flag = finite_section_analysis(A, list(sizes), eps).flag
+            if flag in FLAG_VERDICT:
+                consistent += FLAG_VERDICT[flag] == oracle_fredholm
+                opposite += FLAG_VERDICT[flag] != oracle_fredholm
+        total = 2 * per_class
         rate = consistent / total
         ok = rate >= required_rate and opposite == 0
         return ok, (f"{consistent}/{total} consistent, {opposite} opposite")

@@ -27,6 +27,19 @@ def test_missing_input_is_exit_2(capsys):
     assert run("validate", "does-not-exist.json") == 2
 
 
+@pytest.mark.parametrize("first_id", [0.5, True, "duplicate"])
+def test_malformed_arrow_ids_are_exit_2(tmp_path, capsys, first_id):
+    data = json.loads((FIXTURES / "pair3.json").read_text())
+    if first_id == "duplicate":
+        data["arrows"].append(dict(data["arrows"][0]))
+    else:
+        data["arrows"][0]["id"] = first_id
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run("validate", path) == 2
+    assert "arrow" in capsys.readouterr().err
+
+
 def test_fixture_directory_env_var(monkeypatch):
     monkeypatch.setenv("GCSTAR_FIXTURES", str(FIXTURES))
     assert run("validate", "pair3.json") == 0

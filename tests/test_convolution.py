@@ -6,8 +6,9 @@ from gcstar.convolution import (ArrowFunction, convolve, involution,
                                 scale_by_unit_function, unit_projection)
 from gcstar.errors import InputError
 from gcstar.fixtures import disjoint_pair_z2, pair2, pair3, z2_groupoid
-from gcstar.groupoid import pair_arrow, is_invariant
-from gcstar.randgen import random_arrow_function, random_groupoid, rng_from_seed
+from gcstar.groupoid import is_invariant, pair_arrow, reduction
+from gcstar.randgen import (random_arrow_function, random_groupoid, random_subset,
+                            rng_from_seed)
 
 TOL = 1e-12
 
@@ -90,8 +91,9 @@ def _convolve_reference(f, g):
 
 
 def _bits(table):
-    return [(k, np.float64(v.real).tobytes(), np.float64(v.imag).tobytes())
-            for k, v in table.items()]
+    """Each nonzero value's bit pattern, by arrow id."""
+    return {k: (np.float64(v.real).tobytes(), np.float64(v.imag).tobytes())
+            for k, v in table.items() if v != 0}
 
 
 def test_convolution_matches_the_defining_sum_bit_for_bit():
@@ -101,9 +103,32 @@ def test_convolution_matches_the_defining_sum_bit_for_bit():
         for _ in range(5):
             f = random_arrow_function(rng, G, [a for a in G.arrows if rng.random() < 0.6])
             g = random_arrow_function(rng, G, [a for a in G.arrows if rng.random() < 0.6])
-            out = convolve(f, g).values
-            assert list(out) == list(_convolve_reference(f, g))  # keys in order
-            assert _bits(out) == _bits(_convolve_reference(f, g))
+            assert _bits(convolve(f, g).values) == _bits(_convolve_reference(f, g))
+
+
+def test_vector_operations_match_dict_loops_bit_for_bit():
+    rng = rng_from_seed(49)
+    for _ in range(20):
+        G = random_groupoid(rng, max_arrows=40)
+        f = random_arrow_function(rng, G, [a for a in G.arrows if rng.random() < 0.6])
+        g = random_arrow_function(rng, G, [a for a in G.arrows if rng.random() < 0.6])
+        star = {G.inverse[a]: v.conjugate() for a, v in f.values.items()}
+        assert _bits(f.star().values) == _bits(star)
+        total = dict(f.values)
+        for a, v in g.values.items():
+            total[a] = total.get(a, 0j) + v
+        assert _bits((f + g).values) == _bits(total)
+        phi = {x: complex(*rng.standard_normal(2)) for x in G.units if rng.random() < 0.7}
+        scaled = {a: phi.get(G.ran[a], 0j) * v for a, v in f.values.items()}
+        assert _bits(scale_by_unit_function(phi, f).values) == _bits(scaled)
+        U = random_subset(rng, G)
+        assert _bits(unit_projection(G, U).values) == _bits({G.unit_arrow[x]: 1 + 0j
+                                                             for x in U})
+        GU = reduction(G, U)
+        h = random_arrow_function(rng, GU)
+        up = h.extend_to(G)
+        assert _bits(up.values) == _bits(h.values)
+        assert all(up(a) == 0 for a in set(G.arrows) - set(GU.arrows))
 
 
 def test_regular_rep_matrix_unit_example():

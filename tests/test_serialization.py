@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from gcstar.errors import InputError
@@ -38,6 +40,37 @@ def test_unit_arrows_are_inferred_from_idempotents():
 def test_malformed_groupoid_document():
     with pytest.raises(InputError):
         groupoid_from_dict({"units": ["1"]})
+    data = groupoid_to_dict(pair3())
+    data["unit_arrows"] = list(data["unit_arrows"].values())
+    with pytest.raises(InputError, match="malformed groupoid document"):
+        groupoid_from_dict(data)
+
+
+@pytest.mark.parametrize("bad", [0.9, True, False])
+def test_arrow_ids_must_be_json_integers(tmp_path, bad):
+    data = groupoid_to_dict(pair3())
+    data["arrows"][0]["id"] = bad
+    with pytest.raises(InputError, match="is not an integer"):
+        groupoid_from_dict(data)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps([[bad, 1.0, 0.0]]))
+    with pytest.raises(InputError, match="is not an integer"):
+        load_arrow_function(path, pair3())
+
+
+def test_repeated_arrow_records_are_rejected(tmp_path):
+    data = groupoid_to_dict(pair3())
+    data["arrows"].append(dict(data["arrows"][0], dom="2"))
+    with pytest.raises(InputError, match="repeated arrow record 0"):
+        groupoid_from_dict(data)
+    data = groupoid_to_dict(pair3())
+    data["compose"].append([*data["compose"][0][:2], 5])
+    with pytest.raises(InputError, match="repeated product entry"):
+        groupoid_from_dict(data)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps([[1, 1.0, 0.0], [1, 2.0, 0.0]]))
+    with pytest.raises(InputError, match="repeated arrow-function id 1"):
+        load_arrow_function(path, pair3())
 
 
 def test_arrow_function_round_trip(tmp_path):
