@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals_banded
-from scipy.linalg.lapack import zpbtrf
 
 from .errors import AmbiguityError, GridRefinementNeeded, InputError
 
@@ -433,50 +431,52 @@ class FiniteSectionReport:
     flag: str               # CONSISTENT-FREDHOLM / CONSISTENT-NONFREDHOLM / INCONCLUSIVE
 
 
-def _sturm_count(diag, off2, shift, pivmin):
-    """Eigenvalues <= shift of a real symmetric tridiagonal: one Sturm sweep.
+def eigvals_banded(*args, **kwargs):
+    """scipy.linalg.eigvals_banded, imported on the first call.
 
-    ``off2[i]`` is the squared coupling of rows i - 1 and i (off2[0] = 0).
-    A pivot below pivmin in modulus becomes -pivmin (Kahan's rule), so a
-    zero pivot neither divides by zero nor loses its count.
+    Only the finite sections need scipy, so ``import gcstar`` and every
+    command that computes no section load numpy alone.  The name stays at
+    module level, where gcbench's tracer wraps it.
     """
-    count, d = 0, 1.0
-    for a, e2 in zip(diag, off2):
-        d = a - shift - e2 / d
-        if abs(d) < pivmin:
-            d = -pivmin
-        if d < 0:
-            count += 1
-    return count
+    from scipy.linalg import eigvals_banded as banded
+    return banded(*args, **kwargs)
 
 
 def _hermitian_sections(A, sizes):
-    """Norm and counter of Hermitian tridiagonal sections, by Sturm sweeps.
+    """Norm and counter of Hermitian tridiagonal sections, by Sturm counts.
 
     A diagonal unitary similarity turns every coupling c_1(i) into |c_1(i)|,
-    so a section is real symmetric and #{sigma <= t} = #{lambda <= t} -
-    #{lambda <= -t}.  The norm is the larger modulus of the two ends of the
-    largest section's spectrum.
+    so a section is real symmetric and #{sigma <= t} = #{lambda in (-t, t]}.
+    The norm is the larger modulus of the two ends of the largest section's
+    spectrum.
     """
-    w, sweeps = A.bandwidth, []
+    from scipy.linalg.lapack import dstebz
+
+    w, sections = A.bandwidth, []
     for N in sizes:
         c = A.section_coefficients(N)
         diag = c[w].real.copy()
         off = np.abs(c[w + 1]) if w else np.zeros(diag.size)
         off[0] = 0.0                    # row -N couples to nothing above it
-        sweeps.append((diag, off * off))
+        sections.append((diag, off[1:]))
     band = np.array([off, diag])        # upper storage of the largest section
     norm = max(abs(eigvals_banded(band, select="i", select_range=(i, i))[0])
                for i in (0, diag.size - 1))
 
     def counts(thresholds):
+        # dstebz counts (-t, t] by Sturm sweeps under Kahan's pivmin rule (a
+        # pivot below safmin * max(1, max e_j^2) in modulus becomes -pivmin).
+        # It first treats a coupling as zero when e_j^2 <= ulp^2 |d_j d_{j+1}|
+        # + safmin, which moves no eigenvalue by more than ~ulp ||A|| (Weyl):
+        # inside the ~5u ||A|| floor of the Sturm count.  abstol = 2t spans
+        # the whole interval, so no eigenvalue is refined.
         out = [[] for _ in thresholds]
-        for diag, off2 in sweeps:
-            pivmin = np.finfo(float).tiny * max(1.0, float(off2.max()))
-            diag, off2 = diag.tolist(), off2.tolist()
+        for diag, off in sections:
             for row, t in zip(out, thresholds):
-                row.append(_sturm_count(diag, off2, t, pivmin)
-                           - _sturm_count(diag, off2, -t, pivmin))
+                m, _, _, _, info = dstebz(diag, off, 1, -t, t, 0, 0, 2 * t, b"B")
+                if info < 0:
+                    raise InputError(f"dstebz rejected argument {-info} at threshold {t}")
+                row.append(m)
         return out
 
     return float(norm), counts
@@ -490,6 +490,8 @@ def _gram_norm(A, N):
     nothing at the top of the spectrum.  The bracket runs from the largest
     squared column norm to (sum_k max|c_k|)^2 >= ||A||_1 ||A||_inf.
     """
+    from scipy.linalg.lapack import zpbtrf
+
     bands, _ = A.gram_banded(N)
     lo = float(bands[-1].real.max())
     hi = sum(max(abs(d.limit_minus), abs(d.limit_plus), *(abs(v) for _, v in d.core))
@@ -709,8 +711,8 @@ def finite_section_analysis(A, sizes, eps=DEFAULT_SECTION_EPS):
     a singular value:
 
     * a Hermitian tridiagonal operator counts the eigenvalues of each
-      section in [-t, t] by two Sturm sweeps, and takes the norm from the
-      two ends of the largest section's spectrum;
+      section in (-t, t] with LAPACK's Sturm counter, and takes the norm
+      from the two ends of the largest section's spectrum;
     * any other band counts the negative eigenvalues of its Golub-Kahan
       dilation shifted by t by block cyclic reduction, one level at a time
       for all sizes over their distinct blocks, and takes the norm by
@@ -737,6 +739,8 @@ def finite_section_analysis(A, sizes, eps=DEFAULT_SECTION_EPS):
     sizes = [int(N) for N in sizes]
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise InputError("sizes must be an increasing list of at least two entries")
+    if not 0 < eps < np.inf:
+        raise InputError("eps must be finite and positive")
     lo, hi = A.core_window()
     needed = 4 * (max(abs(lo), abs(hi), 1) + A.bandwidth)
     if sizes[0] <= needed:

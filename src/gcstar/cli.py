@@ -37,7 +37,8 @@ FIXTURE_ENV = "GCSTAR_FIXTURES"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Seed and positive tolerances and sizes; defaults fill absent flags."""
+    """Non-negative seed, finite positive tolerances, positive sizes;
+    defaults fill absent flags."""
 
     seed: int = 0
     tol_norm: float = 1e-9
@@ -48,9 +49,11 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InputError("seed must be non-negative")
         for name in ("tol_norm", "tol_symbol", "eps"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise InputError(f"{name} must be finite and positive")
         if self.grid <= 0 or any(s <= 0 for s in self.sizes):
             raise InputError("grid and sizes must be positive")
 

@@ -5,7 +5,7 @@ instances.  Random groupoids are disjoint unions of transitive pieces, each
 a pair groupoid times a cyclic isotropy group, with unit labels and arrow
 ids shuffled afterwards so nothing downstream can lean on the construction
 order.  Only cyclic isotropy is drawn, so the draws cover the finite
-groupoids with cyclic isotropy groups, not all of them (item 5 of ROADMAP.md).
+groupoids with cyclic isotropy groups, not all of them (item 3 of ROADMAP.md).
 """
 
 from __future__ import annotations

@@ -182,11 +182,6 @@ class Block:
     # spectral norm of the image of each arrow delta, in arrow order
     arrow_norms: np.ndarray = field(repr=False, compare=False)
 
-    def apply(self, alg, f):
-        """The block image sum_g f(g) Q* A_g Q of a function on the algebra's
-        groupoid, or on a reduction of it read through ``extend_to``."""
-        return np.tensordot(f.extend_to(alg.groupoid).vec, alg.images(self.isometry), axes=1)
-
 
 @dataclass(frozen=True)
 class BlockDecomposition:
@@ -203,10 +198,27 @@ class BlockDecomposition:
                 return b
         raise InputError(f"no block labelled {label!r}")
 
+    @functools.cached_property
+    def arrow_images(self):
+        """Q* A_g Q for every arrow g, one (n_arrows, d, d) stack per block in
+        block order.  Built once per decomposition and read-only."""
+        stacks = tuple(self.algebra.images(b.isometry) for b in self.blocks)
+        for X in stacks:
+            X.flags.writeable = False
+        return stacks
+
+    def apply(self, f):
+        """The block images sum_g f(g) Q* A_g Q, by label, of a function on
+        the algebra's groupoid or on a reduction of it (read through
+        ``extend_to``)."""
+        vec = f.extend_to(self.algebra.groupoid).vec
+        return {b.label: np.tensordot(vec, X, axes=1)
+                for b, X in zip(self.blocks, self.arrow_images)}
+
     def block_norms(self, f):
         """The operator norm of f's image in each block, by label."""
-        return {b.label: float(np.linalg.norm(b.apply(self.algebra, f), 2))
-                for b in self.blocks}
+        return {label: float(np.linalg.norm(image, 2))
+                for label, image in self.apply(f).items()}
 
     def block_norm(self, f):
         """The C*-norm of f computed in the block model."""

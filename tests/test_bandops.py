@@ -404,6 +404,9 @@ def test_finite_sections_preconditions():
         finite_section_analysis(BandOperator.identity(), [64], 1e-6)
     with pytest.raises(InputError):
         finite_section_analysis(laplacian_band(), [4, 8], 1e-6)
+    for eps in (float("nan"), float("inf"), 0.0, -1e-6):
+        with pytest.raises(InputError, match="eps must be finite and positive"):
+            finite_section_analysis(laplacian_band(), [64, 128], eps)
 
 
 @pytest.mark.parametrize("sizes", [[64, 64], [64, 128, 128], [128, 64]])
@@ -412,6 +415,79 @@ def test_finite_sections_reject_sizes_that_do_not_strictly_increase(sizes):
     # Fredholm) would read CONSISTENT-FREDHOLM
     with pytest.raises(InputError, match="increasing"):
         finite_section_analysis(BandOperator.toeplitz({-1: 1, 1: 1}), sizes, 1e-6)
+
+
+def _sturm_count(diag, off2, shift, pivmin):
+    """Eigenvalues <= shift of a real symmetric tridiagonal: one Sturm sweep.
+
+    ``off2[i]`` is the squared coupling of rows i - 1 and i (off2[0] = 0).
+    A pivot below pivmin in modulus becomes -pivmin (Kahan's rule), so a
+    zero pivot neither divides by zero nor loses its count.
+    """
+    count, d = 0, 1.0
+    for a, e2 in zip(diag, off2):
+        d = a - shift - e2 / d
+        if abs(d) < pivmin:
+            d = -pivmin
+        if d < 0:
+            count += 1
+    return count
+
+
+def _sturm_reference(A, sizes, thresholds):
+    """Eigenvalues in (-t, t] of each Hermitian tridiagonal section, per t."""
+    w, out = A.bandwidth, [[] for _ in thresholds]
+    for N in sizes:
+        c = A.section_coefficients(N)
+        off = np.abs(c[w + 1]) if w else np.zeros(2 * N + 1)
+        off[0] = 0.0
+        off2 = off * off
+        pivmin = np.finfo(float).tiny * max(1.0, float(off2.max()))
+        diag, off2 = c[w].real.tolist(), off2.tolist()
+        for row, t in zip(out, thresholds):
+            row.append(_sturm_count(diag, off2, t, pivmin)
+                       - _sturm_count(diag, off2, -t, pivmin))
+    return out
+
+
+def _sparse_values(rng, size, real):
+    v = rng.standard_normal(size) + (0 if real else 1j * rng.standard_normal(size))
+    v[rng.random(size) < 0.3] = 0.0
+    return v
+
+
+def _random_hermitian_tridiagonal(rng, coupled):
+    """Real diagonal and, if coupled, Hermitian couplings c_-1(i - 1) =
+    conj(c_1(i)), with exact zeros among the limits and the core values."""
+    core_rows = range(-4, 5)
+    limits = {0: tuple(_sparse_values(rng, 2, True))}
+    core = {0: dict(zip(core_rows, _sparse_values(rng, 9, True)))}
+    if coupled:
+        lm, lp = _sparse_values(rng, 2, False)
+        c1 = _sparse_values(rng, 9, False)
+        limits.update({1: (lm, lp), -1: (np.conj(lm), np.conj(lp))})
+        core.update({1: dict(zip(core_rows, c1)),
+                     -1: {i - 1: np.conj(v) for i, v in zip(core_rows, c1)}})
+    return BandOperator.from_limits(limits, core)
+
+
+def test_hermitian_section_counts_match_the_sturm_reference():
+    rng = rng_from_seed(43)
+    sizes = [6, 11, 40]
+    for trial in range(150):
+        A = _random_hermitian_tridiagonal(rng, coupled=trial % 3 > 0)
+        assert A.bandwidth <= 1 and A.is_selfadjoint()
+        norm, count = bandops._hermitian_sections(A, sizes)
+        diag = A.section_coefficients(sizes[-1])[A.bandwidth].real
+        # a diagonal entry as threshold puts an eigenvalue of an uncoupled
+        # row exactly on the closed end t or the open end -t
+        ties = np.abs(diag[diag != 0])
+        thresholds = [1e-6, 1e-9 + 1.01 * norm, rng.uniform(0.01, 1.0) * norm,
+                      *rng.choice(ties, size=min(2, ties.size), replace=False)]
+        thresholds = [float(t) for t in thresholds if t > 0]
+        assert count(thresholds) == _sturm_reference(A, sizes, thresholds)
+    with pytest.raises(InputError, match="dstebz"):
+        count((0.0,))
 
 
 def test_truncation_row_convention():

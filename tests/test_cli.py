@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -184,3 +185,37 @@ def test_inconclusive_symbol_scan_is_exit_2(tmp_path, capsys):
 def test_repeated_sizes_are_exit_2(capsys):
     assert run("fredholm", fixture("band_laplacian.json"), "--sizes", "64,64") == 2
     assert "increasing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("fredholm", fixture("band_laplacian.json"), "--eps", "nan"),
+    ("fredholm", fixture("band_laplacian_shifted.json"), "--eps", "inf"),
+    ("fredholm", fixture("band_laplacian.json"), "--tol-symbol", "inf"),
+    ("induction-checks", fixture("pair3.json"), "--subsets",
+     fixture("subsets_induction.json"), "--tol-norm", "nan"),
+    ("suite", "--seed", "-1"),
+    ("spectrum", fixture("pair3.json"), "--seed", "-1"),
+])
+def test_non_finite_tolerances_and_negative_seeds_are_exit_2(argv, capsys):
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_groupoid_commands_leave_scipy_unloaded():
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = "\n".join([
+        "import sys",
+        "from gcstar.cli import main",
+        f"assert main(['validate', {fixture('pair3.json')!r}]) == 0",
+        f"assert main(['spectrum', {fixture('pair3.json')!r}]) == 0",
+        f"assert main(['glue', {fixture('gluing_nested.json')!r}]) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

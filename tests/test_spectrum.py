@@ -240,6 +240,30 @@ def test_character_matrix_is_built_once_per_decomposition():
     assert dec.character_matrix is X
 
 
+def test_block_images_are_built_once_per_decomposition(monkeypatch):
+    from gcstar.spectrum import ConcreteAlgebra
+    G = pair3_s3()
+    dec = block_decomposition(G, seed=2)
+    images, calls = ConcreteAlgebra.images, []
+
+    def counted(alg, Q):
+        calls.append(Q.shape)
+        return images(alg, Q)
+
+    monkeypatch.setattr(ConcreteAlgebra, "images", counted)
+    rng = rng_from_seed(31)
+    norms = [dec.block_norms(random_arrow_function(rng, G)) for _ in range(3)]
+    assert len(calls) == len(dec.blocks) and all(len(n) == len(dec.blocks) for n in norms)
+    X = dec.arrow_images
+    assert dec.arrow_images is X and not any(x.flags.writeable for x in X)
+    for b, x in zip(dec.blocks, X):
+        assert np.array_equal(x, images(dec.algebra, b.isometry))
+    # the spectrum decomposition reads no block images, so holds none
+    monkeypatch.setattr(BlockDecomposition, "arrow_images",
+                        property(lambda dec: pytest.fail("block images formed")))
+    assert verify_spectrum_decomposition(G, [{G.units[0]}], seed=2).ok
+
+
 def test_block_apply_matches_dense_definition():
     rng = rng_from_seed(30)
     groupoids = [random_groupoid(rng, max_arrows=40) for _ in range(3)]
@@ -252,13 +276,14 @@ def test_block_apply_matches_dense_definition():
         sub = random_arrow_function(rng, GU)
         for f in (full, sub):
             dense = sum(v * alg.generator_matrix(g) for g, v in f.values.items())
+            images = dec.apply(f)
             for b in dec.blocks:
                 Q = b.isometry
-                assert np.max(np.abs(b.apply(alg, f) - Q.conj().T @ dense @ Q)) < 1e-12
+                assert np.max(np.abs(images[b.label] - Q.conj().T @ dense @ Q)) < 1e-12
     # a function with an arrow the algebra does not have fails loudly
     dec_red = block_decomposition(GU, seed=11)
     with pytest.raises(InputError, match="outside the algebra"):
-        dec_red.blocks[0].apply(dec_red.algebra, full)
+        dec_red.apply(full)
 
 
 def test_verify_blocks_rejects_a_reducible_block():
