@@ -271,6 +271,9 @@ def validate(G):
             add("tables", f"unit {x!r} has no unit arrow")
         elif G.unit_arrow[x] not in arrows:
             add("tables", f"unit arrow of {x!r} is not an arrow")
+    for x in G.unit_arrow:
+        if x not in G.units:
+            add("tables", f"unit arrow given for {x!r}, which is not a unit")
     for (g, h), k in G.compose_table.items():
         if g not in arrows or h not in arrows or k not in arrows:
             add("tables", f"compose entry ({g},{h})->{k} references unknown arrows")
@@ -318,17 +321,25 @@ def validate(G):
               ("inverse-law", P[every, T.inverse] != T.unit[T.ran], "{g}*{g}^-1 != u(ran({g}))"),
               ("inverse-law", P[T.inverse, every] != T.unit[T.dom], "{g}^-1*{g} != u(dom({g}))"))
 
-    # (gh)k against g(hk) for every table entry (g, h) and k in cofiber(dom h),
-    # one gather per middle arrow h; an undefined product reads -1 (None).
-    cofibers = [np.flatnonzero(T.ran == x) for x in units]
-    failures = []
-    for j in range(len(ids)):
-        gs, ks = defined[:, j].nonzero()[0], cofibers[T.dom[j]]
-        hk = P[j, ks]
-        first = P[P[gs, j][:, None], ks]
-        second = np.where(hk >= 0, P[gs[:, None], hk], -1)
-        failures += [(gs[a], j, ks[b], first[a, b], second[a, b])
-                     for a, b in zip(*(first != second).nonzero())]
+    # (gh)k against g(hk) for every table entry (g, h) and k with ran k = dom h,
+    # one unit x = dom h at a time, in runs of middle arrows h of at most n^2
+    # cells (the size of P; one h spans at most n^2, so no run is empty).  hk
+    # and (gh)k are rows of P[:, ks]; g(hk) is read from P padded with a -1
+    # column, so an undefined hk gives -1 (None) like an undefined product.
+    n, failures = len(ids), []
+    padded = np.hstack([P, np.full((n, 1), -1)]).ravel()
+    for x in units:
+        middles, ks = np.flatnonzero(T.dom == x), np.flatnonzero(T.ran == x)
+        step = n * n // max(1, len(ks) * defined[:, middles].sum(axis=0).max(initial=0))
+        by_k = P[:, ks]
+        for s in range(0, len(middles), step):
+            gs, cols = defined[:, middles[s:s + step]].nonzero()
+            hs = middles[s + cols]
+            first, hk = by_k[P[gs, hs]], by_k[hs]
+            hk += (gs * (n + 1))[:, None]  # flat position of (g, hk) in padded
+            second = padded[hk]
+            a, b = (first != second).nonzero()
+            failures += zip(gs[a], hs[a], ks[b], first[a, b], second[a, b])
     if failures:
         rank = {pair: r for r, pair in enumerate(G.compose_table)}
         failures.sort(key=lambda t: (rank[(ids[t[0]], ids[t[1]])], t[2]))

@@ -24,6 +24,17 @@ def test_validate_clean_and_broken(capsys):
     assert run("validate", fixture("broken_pair3.json")) == 1
 
 
+def test_unit_arrow_for_a_stray_label_fails_validation(tmp_path, capsys):
+    data = json.loads((FIXTURES / "pair3.json").read_text())
+    data["unit_arrows"]["ghost"] = 0
+    path = tmp_path / "ghost.json"
+    path.write_text(json.dumps(data))
+    assert run("validate", path) == 1
+    out = capsys.readouterr().out
+    assert "ok: false" in out and "unit arrow given for 'ghost'" in out
+    assert run("spectrum", path) == 2
+
+
 def test_missing_input_is_exit_2(capsys):
     assert run("validate", "does-not-exist.json") == 2
 

@@ -1,5 +1,7 @@
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from gcstar.errors import InputError
@@ -70,6 +72,8 @@ _P2, _Z3 = pair_groupoid(["1", "2"]), group_groupoid(FiniteGroup.cyclic(3))
      "[inverse-law] 1*1^-1 != u(ran(1))"),
     (_mutated(_Z3, compose={(1, 1): 0}),
      "[associativity] (1*1)*2 = 2 but 1*(1*2) = 1"),
+    (_mutated(_P2, unit_arrow={"ghost": 0}),
+     "[tables] unit arrow given for 'ghost', which is not a unit"),
 ])
 def test_validate_reports_each_rule(bad, first):
     assert validate(_P2).ok and validate(_Z3).ok
@@ -343,3 +347,77 @@ def test_integer_table_refuses_unknown_arrows():
     bad = _mutated(_P2, compose={(1, 2): 9})
     with pytest.raises(InputError, match="unknown arrow"):
         bad.table
+
+
+def reference_associativity(G):
+    """The associativity lines of validate(G), one gather per middle arrow h
+    over the table entries (g, h) and the arrows k with ran k = dom h."""
+    T, ids = G.table, G.arrows
+    P, defined = T.product, T.product >= 0
+    failures = []
+    for j in range(len(ids)):
+        gs, ks = defined[:, j].nonzero()[0], np.flatnonzero(T.ran == T.dom[j])
+        hk = P[j, ks]
+        first = P[P[gs, j][:, None], ks]
+        second = np.where(hk >= 0, P[gs[:, None], hk], -1)
+        failures += [(gs[a], j, ks[b], first[a, b], second[a, b])
+                     for a, b in zip(*(first != second).nonzero())]
+    rank = {pair: r for r, pair in enumerate(G.compose_table)}
+    failures.sort(key=lambda t: (rank[(ids[t[0]], ids[t[1]])], t[2]))
+    lines = []
+    for i, j, k, first, second in failures:
+        first, second = (ids[p] if p >= 0 else None for p in (first, second))
+        lines.append(f"[associativity] ({ids[i]}*{ids[j]})*{ids[k]} = {first} "
+                     f"but {ids[i]}*({ids[j]}*{ids[k]}) = {second}")
+    return lines
+
+
+def _random_mutant(rng, G):
+    """G with one to three faults: rewired or added products, deleted
+    entries, bad inverses or bad unit arrows, all naming existing arrows."""
+    arrows, pairs = list(G.arrows), list(G.compose_table)
+    inverse, unit_arrow, compose, drop = {}, {}, {}, None
+    for kind in rng.integers(0, 5, size=int(rng.integers(1, 4))):
+        g = arrows[rng.integers(len(arrows))]
+        if kind == 0:
+            compose[pairs[rng.integers(len(pairs))]] = g
+        elif kind == 1:
+            compose[(g, arrows[rng.integers(len(arrows))])] = arrows[rng.integers(len(arrows))]
+        elif kind == 2:
+            drop = pairs[rng.integers(len(pairs))]
+        elif kind == 3:
+            inverse[g] = arrows[rng.integers(len(arrows))]
+        else:
+            unit_arrow[G.units[rng.integers(G.n_units())]] = g
+    if drop in compose:
+        drop = None
+    return _mutated(G, inverse, unit_arrow, compose, drop)
+
+
+def test_associativity_gathers_match_the_per_arrow_reference():
+    rng, draws = _draws(48, 12)
+    # one unit (runs of one middle arrow), and pair(2) x Z4, whose units hold
+    # two runs of four middle arrows each
+    draws += [group_groupoid(FiniteGroup.cyclic(6)),
+              direct_product(pair_groupoid(["1", "2"]),
+                             group_groupoid(FiniteGroup.cyclic(4)))]
+    broken = 0
+    for trial in range(330):
+        bad = _random_mutant(rng, draws[trial % len(draws)])
+        lines = validate(bad).lines()
+        others = [line for line in lines if not line.startswith("[associativity]")]
+        expected = others + reference_associativity(bad)
+        assert list(lines) == (expected or ["all groupoid axioms hold"])
+        broken += any(line.startswith("[associativity]") for line in lines)
+    assert broken >= 150
+
+
+def test_validate_memory_stays_within_the_product_table_scale():
+    G = group_groupoid(FiniteGroup.cyclic(96))
+    tracemalloc.start()
+    try:
+        assert validate(G).ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20

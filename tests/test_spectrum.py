@@ -128,8 +128,6 @@ def test_block_images_match_dense_definition():
             assert np.max(np.abs(alg.translates(Q) - translates)) < 1e-12
             assert np.max(np.abs(np.array(b.traces)
                                  - np.trace(dense, axis1=1, axis2=2))) < 1e-12
-            norms = [np.linalg.norm(M, 2) for M in dense]
-            assert np.max(np.abs(b.arrow_norms - norms)) < 1e-12
     # non-abelian isotropy: S3 has irreducibles of dimension 1, 1 and 2
     assert [b.dim for b in dec.blocks] == [3, 3, 6]
 
@@ -173,34 +171,47 @@ def test_block_labels_follow_the_per_trace_rounding_key():
             assert [(b.dim, b.multiplicity) for b in dec.blocks] == [(2, 1)] * 4 + [(4, 2)]
 
 
-def test_arrow_norms_of_one_dimensional_blocks_match_dense_norms():
-    # abelian isotropy over several orbits: many one-dimensional blocks
+def dense_arrow_norms(dec, b, idx=slice(None)):
+    """||Q* A_g Q||_2 from the dense generator matrices of the arrows idx."""
+    alg, Q = dec.algebra, b.isometry
+    return np.array([np.linalg.norm(Q.conj().T @ alg.generator_matrix(g) @ Q, 2)
+                     for g in np.array(alg.groupoid.arrows)[idx]])
+
+
+def test_annihilation_from_unit_traces_matches_dense_norms():
+    # random draws, non-abelian isotropy, and abelian isotropy over several
+    # orbits (many one-dimensional blocks)
     rng = rng_from_seed(33)
-    groupoids = [disjoint_union([group_groupoid(FiniteGroup.cyclic(5), unit="a"),
-                                 group_groupoid(FiniteGroup.klein_four(), unit="b"),
-                                 pair_groupoid(["c", "d"])])]
-    groupoids += [random_groupoid(rng, max_arrows=40) for _ in range(4)]
-    seen = 0
+    groupoids = [random_groupoid(rng, max_arrows=40) for _ in range(30)]
+    groupoids += [pair3_s3(),
+                  direct_product(pair_groupoid(["1", "2"]),
+                                 group_groupoid(dihedral_group_4())),
+                  disjoint_union([group_groupoid(FiniteGroup.cyclic(5), unit="a"),
+                                  group_groupoid(FiniteGroup.klein_four(), unit="b"),
+                                  pair_groupoid(["c", "d"])])]
+    decisions = np.zeros(2, dtype=int)  # (killed, kept) block/arrow pairs
     for G in groupoids:
         dec = block_decomposition(G, seed=14)
-        alg = dec.algebra
+        T = G.table
         for b in dec.blocks:
-            if b.dim != 1:
-                continue
-            Q = b.isometry
-            norms = [np.linalg.norm(Q.conj().T @ alg.generator_matrix(g) @ Q, 2)
-                     for g in G.arrows]
-            assert np.max(np.abs(b.arrow_norms - norms)) < 1e-12
-            seen += 1
-    assert seen >= 9
+            norms = dense_arrow_norms(dec, b)
+            # phi(g)* phi(g) is a projection, so every norm is 0 or 1
+            assert np.all(np.minimum(norms, np.abs(norms - 1)) < 1e-12)
+            unit_traces = np.abs(np.asarray(b.traces)[T.unit[T.dom]])
+            killed = unit_traces < ANNIHILATION_TOL
+            assert np.array_equal(killed, norms < ANNIHILATION_TOL)
+            decisions += [np.count_nonzero(killed), np.count_nonzero(~killed)]
+    assert np.all(decisions > 1000)
 
 
 def reference_prim_partition(dec, U):
-    """The annihilator partition over the arrows of reduction(G, U)."""
+    """The annihilator partition over the arrows of reduction(G, U), from the
+    dense spectral norms of the block images."""
     G = dec.algebra.groupoid
     idx = G.table.positions(reduction(G, U).arrows)
     inside = frozenset(b.label for b in dec.blocks
-                       if np.max(b.arrow_norms[idx], initial=0.0) < ANNIHILATION_TOL)
+                       if np.max(dense_arrow_norms(dec, b, idx), initial=0.0)
+                       < ANNIHILATION_TOL)
     return inside, frozenset(dec.labels) - inside
 
 
@@ -288,13 +299,13 @@ def test_block_apply_matches_dense_definition():
 
 def test_verify_blocks_rejects_a_reducible_block():
     dec = block_decomposition(z3_groupoid(), seed=1)
-    _verify_blocks(dec)
+    _verify_blocks(dec, dec.arrow_images)
     # two inequivalent characters posing as one two-dimensional block
     Q = np.hstack([dec.blocks[0].isometry, dec.blocks[1].isometry])
     fake = BlockDecomposition(dec.algebra,
                               (replace(dec.blocks[0], dim=2, isometry=Q),))
     with pytest.raises(AmbiguityError, match="not irreducible"):
-        _verify_blocks(fake)
+        _verify_blocks(fake, fake.arrow_images)
 
 
 def pair_block_and_characters(dec):
@@ -309,13 +320,13 @@ def pair_block_and_characters(dec):
 def test_verify_blocks_rejects_a_subspace_rotated_off_its_orbit():
     G = disjoint_pair_z2()
     dec = block_decomposition(G, seed=1)
-    _verify_blocks(dec)
+    _verify_blocks(dec, dec.arrow_images)
     pair, P = pair_block_and_characters(dec)
     theta = 1e-6
     Q = np.cos(theta) * pair.isometry + np.sin(theta) * P  # still an isometry
     fake = BlockDecomposition(dec.algebra, (replace(pair, isometry=Q),))
     with pytest.raises(AmbiguityError, match="not invariant"):
-        _verify_blocks(fake)
+        _verify_blocks(fake, fake.arrow_images)
 
 
 @pytest.mark.parametrize("tamper, message", [
@@ -328,7 +339,7 @@ def test_verify_blocks_rejects_a_subspace_rotated_off_its_orbit():
 def test_verify_blocks_rejects_tampered_images(tamper, message):
     G = disjoint_pair_z2()
     dec = block_decomposition(G, seed=1)
-    _verify_blocks(dec)
+    _verify_blocks(dec, dec.arrow_images)
     pair, P = pair_block_and_characters(dec)
     Q = tamper(pair.isometry, P)
     X = dec.algebra.images(Q)
@@ -337,13 +348,21 @@ def test_verify_blocks_rejects_tampered_images(tamper, message):
     assert np.max(np.abs(X[u] @ X[u] - X[u])) > 0.1
     fake = BlockDecomposition(dec.algebra, (replace(pair, isometry=Q),))
     with pytest.raises(AmbiguityError, match=message):
-        _verify_blocks(fake)
+        _verify_blocks(fake, fake.arrow_images)
+
+
+def test_verify_blocks_rejects_images_that_are_not_the_blocks_own():
+    dec = block_decomposition(disjoint_pair_z2(), seed=1)
+    images = [X.copy() for X in dec.arrow_images]
+    images[-1][0] += 1e-6  # one image off Q* A_g Q, far above BLOCK_TOL
+    with pytest.raises(AmbiguityError, match="not invariant"):
+        _verify_blocks(dec, images)
 
 
 def test_verify_blocks_rejects_a_nonzero_product_outside_the_table():
     G = disjoint_pair_z2()
     dec = block_decomposition(G, seed=1)
-    _verify_blocks(dec)
+    _verify_blocks(dec, dec.arrow_images)
     pair, P = pair_block_and_characters(dec)
     # the trivial character of the group part mixed into one column of the
     # pair block: still an isometry, but the products across the two orbits
@@ -360,7 +379,7 @@ def test_verify_blocks_rejects_a_nonzero_product_outside_the_table():
     assert across > 0.1
     fake = BlockDecomposition(dec.algebra, (replace(pair, isometry=Q),))
     with pytest.raises(AmbiguityError, match="not invariant"):
-        _verify_blocks(fake)
+        _verify_blocks(fake, fake.arrow_images)
 
 
 def test_concrete_algebra_rejects_a_table_without_the_adjoint_law(monkeypatch):
