@@ -13,7 +13,8 @@ condition asks for
 Under the condition, the fibered coproduct -- the disjoint union of the
 pieces' arrows modulo the identifications, realised here by union-find --
 carries a groupoid structure over X, and each reduction to U_i is
-isomorphic to the i-th piece.
+isomorphic to the i-th piece.  :func:`glue` builds its tables in one pass
+over each piece's tables, mapped through the identification classes.
 
 Because all pieces live over subsets of the same X, overlap isomorphisms
 must fix units; a morphism that moves units is reported as a violation
@@ -155,51 +156,41 @@ def check_weak_gluing(family):
                 if via != direct:
                     cocycle.append((i, j, k, g, via, direct))
 
-    # Lifting of composable pairs across pieces.
-    for (i, Pi), (j, Pj) in itertools.product(enumerate(family.pieces), repeat=2):
+    # Lifting of composable pairs across pieces.  A pair inside one piece
+    # lifts to that piece, so only ordered pairs of distinct pieces can fail.
+    pieces, presented = family.pieces, _presentations(family)
+
+    def lifts(pres_g, pres_h):  # some piece presents both, composably
+        return any(k in pres_h and pieces[k].dom[gk] == pieces[k].ran[pres_h[k]]
+                   for k, gk in pres_g.items())
+
+    for i, j in itertools.permutations(range(n), 2):
+        Pi, Pj = pieces[i], pieces[j]
         for g in Pi.arrows:
             for h in Pj.arrows:
-                if Pi.dom[g] == Pj.ran[h] and not _find_lifts(family, i, g, j, h):
+                if Pi.dom[g] == Pj.ran[h] and not lifts(presented[i, g], presented[j, h]):
                     lifting.append((i, j, g, h))
 
     return GluingReport(tuple(pinning), tuple(cocycle), tuple(lifting))
 
 
-def _presentations(family, i, g):
-    """All (k, arrow of piece k) identified with arrow g of piece i."""
-    out = {(i, g)}
-    Pi = family.pieces[i]
-    for k in range(len(family.pieces)):
-        if k == i:
-            continue
-        overlap = family.overlaps[(i, k)]
-        if Pi.dom[g] in overlap and Pi.ran[g] in overlap:
-            phi = family.isos.get((i, k))
-            if phi is not None and g in phi.arrow_map:
-                out.add((k, phi.arrow_map[g]))
-    return out
-
-
-def _find_lifts(family, i, g, j, h):
-    """Common charts presenting both arrows of a composable cross pair."""
-    lifts = []
-    pres_g = dict(_presentations(family, i, g))
-    pres_h = dict(_presentations(family, j, h))
-    for k in sorted(set(pres_g) & set(pres_h)):
-        gk, hk = pres_g[k], pres_h[k]
-        Pk = family.pieces[k]
-        if Pk.dom[gk] == Pk.ran[hk]:
-            lifts.append((k, gk, hk))
-    return lifts
+def _presentations(family):
+    """Each arrow (i, g) of a piece -> {piece k: the arrow presenting it in k}."""
+    presented = {(i, g): {i: g} for i, piece in enumerate(family.pieces)
+                 for g in piece.arrows}
+    for (i, k), phi in family.isos.items():
+        for g, img in phi.arrow_map.items():
+            presented[i, g][k] = img
+    return presented
 
 
 def glue(family):
     """The fibered coproduct of a family satisfying the weak gluing condition.
 
-    Refuses (GluingConditionError) when the condition fails.  Cross-piece
-    compositions are resolved through every available common chart; charts
-    disagreeing about the product raise AmbiguityError rather than being
-    broken silently.
+    Refuses (GluingConditionError) when the condition fails.  Otherwise every
+    piece's tables are mapped once through the identification classes; two
+    charts that disagree about an entry raise AmbiguityError rather than
+    being broken silently.
     """
     report = check_weak_gluing(family)
     if not report.ok:
@@ -210,66 +201,30 @@ def glue(family):
     for (i, j), phi in family.isos.items():
         for g, img in phi.arrow_map.items():
             uf.union((i, g), (j, img))
-    find = uf.find
+    # tokens are in ascending order, so numbering each class when it first
+    # appears keeps glued arrow ids independent of the union-find roots
+    new_id = {}
+    glued = {t: new_id.setdefault(uf.find(t), len(new_id)) for t in tokens}
 
-    # tokens are in ascending order, so each class lists its smallest first;
-    # numbering classes by it keeps glued arrow ids independent of the roots
-    classes = {}
-    for t in tokens:
-        classes.setdefault(find(t), []).append(t)
-    reps = sorted(classes, key=lambda rep: classes[rep][0])
-    new_id = {rep: a for a, rep in enumerate(reps)}
+    def put(table, key, value, what):
+        if table.setdefault(key, value) != value:
+            raise AmbiguityError(f"charts disagree about the {what} {key!r}")
 
-    def class_of(token):
-        return new_id[find(token)]
+    dom, ran, inverse, unit_arrow, compose = {}, {}, {}, {}, {}
+    for i, piece in enumerate(family.pieces):
+        for g in piece.arrows:
+            a = glued[i, g]
+            put(dom, a, piece.dom[g], "domain of glued arrow")
+            put(ran, a, piece.ran[g], "range of glued arrow")
+            put(inverse, a, glued[i, piece.inverse[g]], "inverse of glued arrow")
+        for x, u in piece.unit_arrow.items():
+            put(unit_arrow, x, glued[i, u], "unit arrow of")
+        for (g, h), k in piece.compose_table.items():
+            put(compose, (glued[i, g], glued[i, h]), glued[i, k], "product of glued arrows")
 
-    dom, ran, inverse, unit_arrow = {}, {}, {}, {}
-    for rep in reps:
-        a = new_id[rep]
-        endpoints = {(family.pieces[i].dom[g], family.pieces[i].ran[g])
-                     for (i, g) in classes[rep]}
-        if len(endpoints) != 1:
-            raise AmbiguityError("identified arrows disagree on endpoints")
-        dom[a], ran[a] = next(iter(endpoints))
-        inv_classes = {class_of((i, family.pieces[i].inverse[g]))
-                       for (i, g) in classes[rep]}
-        if len(inv_classes) != 1:
-            raise AmbiguityError("identified arrows disagree on inverses")
-        inverse[a] = next(iter(inv_classes))
-
-    for x in family.unit_space:
-        candidates = {class_of((i, piece.unit_arrow[x]))
-                      for i, piece in enumerate(family.pieces) if x in piece.unit_arrow}
-        if len(candidates) != 1:
-            raise AmbiguityError(f"unit arrow of {x!r} is not well defined")
-        unit_arrow[x] = next(iter(candidates))
-
-    members = {new_id[rep]: classes[rep] for rep in reps}
-    compose = {}
-    for a in members:
-        for b in members:
-            if dom[a] != ran[b]:
-                continue
-            by_piece_a = {i: g for (i, g) in members[a]}
-            by_piece_b = {i: g for (i, g) in members[b]}
-            products = set()
-            for k in sorted(set(by_piece_a) & set(by_piece_b)):
-                Pk = family.pieces[k]
-                gk, hk = by_piece_a[k], by_piece_b[k]
-                if Pk.dom[gk] == Pk.ran[hk]:
-                    products.add(class_of((k, Pk.compose_table[(gk, hk)])))
-            if not products:
-                raise AmbiguityError(
-                    f"no common chart for glued arrows {a} and {b}; the weak "
-                    f"gluing check should have caught this")
-            if len(products) != 1:
-                raise AmbiguityError(
-                    f"charts disagree about the product of glued arrows "
-                    f"{a} and {b}")
-            compose[(a, b)] = next(iter(products))
-
-    result = FiniteGroupoid(family.unit_space, dom, ran, inverse, unit_arrow,
-                            compose)
+    result = FiniteGroupoid(family.unit_space, dom, ran, inverse,
+                            {x: unit_arrow.get(x) for x in family.unit_space},
+                            dict(sorted(compose.items())))
     check = validate(result)
     if not check.ok:
         raise AmbiguityError("glued groupoid fails validation: "

@@ -84,28 +84,20 @@ def boundary_substitution(spec):
     return lambda x: 1.0 / x
 
 
-def _convolve(a, b):
-    out = {}
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            out[k1 + k2] = out.get(k1 + k2, 0j) + c1 * c2
-    return out
-
-
 def model_stencil(coefficients, h):
     """The translation-invariant stencil of the polynomial, as {offset: value}."""
-    laplace = {-1: -1.0 / h ** 2, 0: 2.0 / h ** 2, 1: -1.0 / h ** 2}
-    first = {-1: -1.0 / (2.0 * h), 1: 1.0 / (2.0 * h)}
+    laplace = LaurentSymbol(((-1, -1.0 / h ** 2), (0, 2.0 / h ** 2), (1, -1.0 / h ** 2)))
+    first = LaurentSymbol(((-1, -1.0 / (2.0 * h)), (1, 1.0 / (2.0 * h))))
     total = {}
     for m, a_m in enumerate(coefficients):
         if a_m == 0:
             continue
-        stencil = {0: 1.0 + 0j}
+        stencil = LaurentSymbol(((0, 1.0),))
         for _ in range(m // 2):
-            stencil = _convolve(stencil, laplace)
+            stencil = stencil.product(laplace)
         if m % 2:
-            stencil = _convolve(stencil, first)
-        for k, v in stencil.items():
+            stencil = stencil.product(first)
+        for k, v in stencil.coefficients:
             total[k] = total.get(k, 0j) + a_m * v
     return {k: v for k, v in total.items() if v != 0}
 

@@ -611,21 +611,12 @@ class SpectrumDecompositionReport:
     cover: tuple
     prim_all: frozenset
     images: tuple              # per cover set: frozenset of induced labels
-    outside_sets: tuple        # per cover set: Prim outside the subset
     union_equals_prim: bool
-    images_match_outside: bool
 
     @property
     def ok(self):
-        return self.union_equals_prim and self.images_match_outside
-
-    def lines(self):
-        out = [f"blocks: {len(self.prim_all)}"]
-        for U, img in zip(self.cover, self.images):
-            out.append(f"subset {sorted(map(str, U))}: induces {sorted(img)}")
-        out.append(f"union equals spectrum: {self.union_equals_prim}")
-        out.append(f"images equal complements: {self.images_match_outside}")
-        return out
+        # each image equals Prim outside its cover set: induction_map raises otherwise
+        return self.union_equals_prim
 
 
 def verify_spectrum_decomposition(G, cover, seed=0, dec=None):
@@ -646,16 +637,13 @@ def verify_spectrum_decomposition(G, cover, seed=0, dec=None):
     # equal cover sets induce from the same reduction: decompose it once
     induced = {U: induction_map(G, U, seed=seed, dec=dec) for U in dict.fromkeys(cover)}
     images = [frozenset(induced[U].mapping.values()) for U in cover]
-    outsides = [induced[U].prim_outside for U in cover]
     prim_all = frozenset(dec.labels)
     union = frozenset().union(*images) if images else frozenset()
     return SpectrumDecompositionReport(
         cover=tuple(cover),
         prim_all=prim_all,
         images=tuple(images),
-        outside_sets=tuple(outsides),
         union_equals_prim=(union == prim_all),
-        images_match_outside=all(i == o for i, o in zip(images, outsides)),
     )
 
 

@@ -1,14 +1,17 @@
 import pytest
 
-from gcstar.errors import GluingConditionError, InputError
+from gcstar.errors import AmbiguityError, GluingConditionError, InputError
 from gcstar.fixtures import (bmodel_family, disjoint_cover_family,
                              faulty_family, nested_family, unliftable_family)
-from gcstar.gluing import (GluingFamily, check_weak_gluing,
+from gcstar import gluing
+from gcstar.gluing import (GluingFamily, GluingReport, check_weak_gluing,
                            family_from_reductions, glue)
 from gcstar.groupoid import (FiniteGroup, GroupoidMorphism, direct_product,
                              group_groupoid, isotropy, orbits, pair_groupoid,
                              reduction, validate)
 from gcstar.isosearch import groupoid_isomorphism
+from gcstar.randgen import (random_admissible_cover, random_groupoid,
+                            random_subset, rng_from_seed)
 
 
 def test_identity_overlaps_are_clean():
@@ -26,7 +29,9 @@ def test_unit_swap_fault_is_reported_as_cocycle_failure():
 def test_split_pair_cover_fails_lifting():
     report = check_weak_gluing(unliftable_family())
     assert not report.ok
-    assert report.lifting_failures
+    # (2->1 of piece 0, 3->2 of piece 1) and (2->3 of piece 1, 1->2 of piece 0):
+    # 3->1 and 1->3 exist in neither piece, and each direction is reported
+    assert report.lifting_failures == ((0, 1, 1, 5), (1, 0, 7, 3))
     assert not report.cocycle_failures
 
 
@@ -35,6 +40,38 @@ def test_glue_refuses_dirty_families():
         glue(faulty_family())
     with pytest.raises(GluingConditionError):
         glue(unliftable_family())
+
+
+def test_glue_raises_ambiguity_when_charts_disagree(monkeypatch):
+    # with the weak-gluing check bypassed, the unit swap of the faulty family
+    # identifies arrows whose endpoints differ
+    monkeypatch.setattr(gluing, "check_weak_gluing", lambda family: GluingReport((), (), ()))
+    with pytest.raises(AmbiguityError, match="charts disagree"):
+        glue(faulty_family())
+
+
+def test_glue_and_replay_on_random_families():
+    outcomes = {"glued": 0, "refused": 0}
+    for seed in range(40):
+        rng = rng_from_seed(seed)
+        G = random_groupoid(rng, max_arrows=30)
+        cover = random_admissible_cover(rng, G) + [random_subset(rng, G)]
+        fam = family_from_reductions(G, cover)
+        report = check_weak_gluing(fam)
+        if not report.ok:
+            # reductions of one groupoid pin units and satisfy the cocycle laws
+            assert report.lifting_failures
+            assert not (report.unit_pinning or report.cocycle_failures)
+            with pytest.raises(GluingConditionError):
+                glue(fam)
+            outcomes["refused"] += 1
+            continue
+        glued = glue(fam)
+        assert validate(glued).ok
+        for U, piece in zip(fam.cover, fam.pieces):
+            assert groupoid_isomorphism(reduction(glued, U), piece) is not None
+        outcomes["glued"] += 1
+    assert outcomes["glued"] and outcomes["refused"]
 
 
 def test_glue_single_piece_is_the_piece():

@@ -82,6 +82,15 @@ def test_validate_reports_each_rule(bad, first):
     assert str(report.violations[0]) == first
 
 
+@pytest.mark.parametrize("side", ["dom", "ran"])
+def test_constructor_refuses_an_endpoint_outside_the_units(side):
+    tables = {"dom": dict(_P2.dom), "ran": dict(_P2.ran)}
+    tables[side][1] = "ghost"
+    with pytest.raises(InputError, match="arrow 1 has an endpoint outside the unit set"):
+        FiniteGroupoid(_P2.units, tables["dom"], tables["ran"], _P2.inverse,
+                       _P2.unit_arrow, _P2.compose_table)
+
+
 def test_validate_swap_action_groupoid_clean():
     assert validate(swap_action()).ok
 

@@ -592,7 +592,7 @@ def test_spectrum_decomposition_induces_each_distinct_cover_set_once(monkeypatch
     monkeypatch.setattr(spectrum, "induction_map", counted)
     rep = verify_spectrum_decomposition(D, cover, seed=1)
     assert calls == [frozenset({"1", "2"}), frozenset({"3"})]
-    assert rep == expected and len(rep.images) == len(rep.outside_sets) == 4
+    assert rep == expected and len(rep.images) == 4
     assert rep.images[0] == rep.images[2] and rep.images[1] == rep.images[3]
 
 
