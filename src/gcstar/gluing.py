@@ -49,9 +49,11 @@ class GluingFamily:
             raise InputError("cover and pieces have different lengths")
         if not self.pieces:
             raise InputError("empty gluing family")
-        for U, piece in zip(self.cover, self.pieces):
+        for i, (U, piece) in enumerate(zip(self.cover, self.pieces)):
             if set(piece.units) != U:
                 raise InputError("piece units do not match its cover subset")
+            if not (report := validate(piece)).ok:
+                raise InputError(f"piece {i} fails validation: {report.lines()[0]}")
         self.unit_space = tuple(dict.fromkeys(x for piece in self.pieces for x in piece.units))
         n = len(self.pieces)
         self.overlaps = {(i, j): self.cover[i] & self.cover[j]

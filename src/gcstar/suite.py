@@ -21,7 +21,7 @@ from .bandops import (finite_section_analysis, limit_operator, locality_check,
 from .convolution import convolve, involution, left_regular_rep, reduced_norm
 from .errors import GluingConditionError
 from .gluing import check_weak_gluing, glue
-from .groupoid import reduction, validate
+from .groupoid import reduction
 from .isosearch import groupoid_isomorphism
 from .models import boundary_symbol, discretize_model
 from .randgen import (random_admissible_cover, random_arrow_function,
@@ -268,9 +268,7 @@ def criterion_gluing(seed=0):
                        fixtures.bmodel_family()):
             if not check_weak_gluing(family).ok:
                 return False, "a clean family was rejected"
-            G = glue(family)
-            if not validate(G).ok:
-                return False, "a glued groupoid failed validation"
+            G = glue(family)  # glue raises unless the result validates
             for U, piece in zip(family.cover, family.pieces):
                 if groupoid_isomorphism(reduction(G, U), piece) is None:
                     return False, "a glued reduction is not isomorphic to its piece"

@@ -99,6 +99,17 @@ def test_glue_failures(capsys):
     assert "lifting" in out
 
 
+def test_glue_refuses_a_malformed_piece_as_input(tmp_path, capsys):
+    data = json.loads((FIXTURES / "gluing_nested.json").read_text())
+    compose = data["pieces"][0]["compose"]
+    data["pieces"][0]["compose"] = [e for e in compose if e[:2] != [1, 3]]
+    assert len(data["pieces"][0]["compose"]) == len(compose) - 1
+    path = tmp_path / "malformed_piece.json"
+    path.write_text(json.dumps(data))
+    assert run("glue", path) == 2
+    assert "piece 0 fails validation: [compose-domain]" in capsys.readouterr().err
+
+
 def test_fredholm_command(capsys):
     assert run("fredholm", fixture("band_laplacian_shifted.json"),
                "--sizes", "64,128,256") == 0

@@ -91,13 +91,34 @@ def test_commutant_dimension_equals_total_isotropy():
         assert len(set(cells)) == len(cells)
 
 
+def conjugacy_class_count(G, x):
+    """The number of conjugacy classes of the isotropy group at unit index x,
+    gathering g h g^-1 from the product and inverse tables."""
+    T = G.table
+    H = np.flatnonzero((T.dom == x) & (T.ran == x))
+    conjugates = T.product[T.product[H[:, None], H], T.inverse[H][:, None]]
+    return len({frozenset(conjugates[:, j].tolist()) for j in range(len(H))})
+
+
 def test_block_census_on_random_groupoids():
     rng = rng_from_seed(21)
-    for _ in range(10):
-        G = random_groupoid(rng, max_arrows=40)
+    groupoids = [random_groupoid(rng, max_arrows=40) for _ in range(10)]
+    groupoids += [pair3_s3(), direct_product(pair_groupoid(["1", "2"]),
+                                             group_groupoid(dihedral_group_4()))]
+    for G in groupoids:
         dec = block_decomposition(G, seed=3)
         assert sum(b.dim ** 2 for b in dec.blocks) == G.n_arrows()
         assert sum(b.dim * b.multiplicity for b in dec.blocks) == dec.algebra.dim
+        # exact census: each orbit carries one block per conjugacy class of
+        # its isotropy group (G|_O is equivalent to that group)
+        alive = np.abs(dec.character_matrix[G.table.unit]) > 0.5  # units x blocks
+        assert alive.any(axis=0).all()
+        for orb in orbits(G):
+            on_orbit = np.array([u in orb for u in G.units])
+            inside = alive[on_orbit].any(axis=0)
+            assert not (inside & alive[~on_orbit].any(axis=0)).any()
+            x = G.units.index(min(orb, key=G.units.index))
+            assert np.count_nonzero(inside) == conjugacy_class_count(G, x)
 
 
 def symmetric_group_3():
@@ -297,13 +318,25 @@ def test_block_apply_matches_dense_definition():
         dec_red.apply(full)
 
 
-def test_verify_blocks_rejects_a_reducible_block():
-    dec = block_decomposition(z3_groupoid(), seed=1)
+@pytest.mark.parametrize("G, parts", [
+    # two inequivalent characters of Z3 posing as one block: reducible
+    # within one orbit, so the character norm is 2 |d^-1(x)|
+    pytest.param(z3_groupoid(), (0, 1), id="same-orbit"),
+    # the pair block of disjoint_pair_z2 (B2) plus a character of the other
+    # orbit: invariant, but spread over two orbits (norm 4 + 2, |d^-1(x)| = 2)
+    pytest.param(disjoint_pair_z2(), (2, 0), id="cross-orbit"),
+])
+def test_verify_blocks_rejects_a_reducible_block(G, parts):
+    dec = block_decomposition(G, seed=1)
     _verify_blocks(dec, dec.arrow_images)
-    # two inequivalent characters posing as one two-dimensional block
-    Q = np.hstack([dec.blocks[0].isometry, dec.blocks[1].isometry])
+    parts = [dec.blocks[i] for i in parts]
+    Q = np.hstack([b.isometry for b in parts])
+    # the fake keeps the first part's traces: the check must read the images
     fake = BlockDecomposition(dec.algebra,
-                              (replace(dec.blocks[0], dim=2, isometry=Q),))
+                              (replace(parts[0], dim=Q.shape[1], isometry=Q),))
+    X = fake.arrow_images[0]
+    R = dec.algebra.translates(Q) - Q @ X
+    assert np.max(np.abs(R)) < 1e-12  # invariant: only irreducibility fails
     with pytest.raises(AmbiguityError, match="not irreducible"):
         _verify_blocks(fake, fake.arrow_images)
 
