@@ -270,15 +270,18 @@ def validate(G):
     for x in G.unit_arrow:
         if x not in G.units:
             add("tables", f"unit arrow given for {x!r}, which is not a unit")
-    for (g, h), k in G.compose_table.items():
-        if g not in arrows or h not in arrows or k not in arrows:
-            add("tables", f"compose entry ({g},{h})->{k} references unknown arrows")
-    if bad:
+    try:  # past the checks above, only a compose entry naming an unknown arrow fails here
+        T = None if bad else G.table
+    except InputError:
+        T = None
+    if T is None:
+        for (g, h), k in G.compose_table.items():
+            if g not in arrows or h not in arrows or k not in arrows:
+                add("tables", f"compose entry ({g},{h})->{k} references unknown arrows")
         return ValidationReport(tuple(bad))
 
     # Every axiom below is one comparison on the integer view; Python only
     # walks the flagged cells, in the order the report lists them.
-    T = G.table
     P, ids = T.product, G.arrows
     every, units = np.arange(len(ids)), np.arange(len(G.units))
 
@@ -429,22 +432,43 @@ def isotropy(G, x):
 # -- builders ---------------------------------------------------------------
 
 
+def pair_times_tables(n, group):
+    """Read-only index tables of pair(n) x group, from the group's table.
+
+    Arrow (i n + j) |group| + e runs from unit j to unit i with isotropy part
+    group.elements[e].  The tables: dom, ran and inverse per arrow, the unit
+    arrow per unit, and the composable pairs (left, right) with their
+    products, listed as :func:`direct_product` lists them.
+    """
+    index = {x: e for e, x in enumerate(group.elements)}
+    mul = np.array([[index[group.mul(x, y)] for y in group.elements] for x in group.elements])
+    inv = np.array([index[group.inv(x)] for x in group.elements])
+    k, units = len(group), np.arange(n)
+    i, j, e = np.indices((n, n, k)).reshape(3, -1)
+    i3, j3, l3, e3, f3 = np.indices((n, n, n, k, k)).reshape(5, -1)
+    tables = (j, i, (j * n + i) * k + inv[e], (units * n + units) * k + index[group.identity],
+              (i3 * n + j3) * k + e3, (j3 * n + l3) * k + f3, (i3 * n + l3) * k + mul[e3, f3])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def from_index_tables(units, ids, dom, ran, inverse, unit, left, right, product):
+    """The groupoid over ``units`` with the index tables of
+    :func:`pair_times_tables`; the arrow at position p gets the id ids[p]."""
+    arrows = ids.tolist()
+    return FiniteGroupoid(
+        units, dict(zip(arrows, (units[x] for x in dom.tolist()))),
+        dict(zip(arrows, (units[x] for x in ran.tolist()))),
+        dict(zip(arrows, ids[inverse].tolist())), dict(zip(units, ids[unit].tolist())),
+        dict(zip(zip(ids[left].tolist(), ids[right].tolist()), ids[product].tolist())))
+
+
 def pair_groupoid(units):
     """The pair groupoid: exactly one arrow (a, b) from b to a, for all a, b."""
-    units = tuple(units)
-    n = len(units)
-    idx = {x: i for i, x in enumerate(units)}
-    dom, ran, inverse, compose = {}, {}, {}, {}
-    # arrow i*n + j represents (units[i], units[j]) : units[j] -> units[i]
-    for i, j in itertools.product(range(n), repeat=2):
-        a = i * n + j
-        ran[a] = units[i]
-        dom[a] = units[j]
-        inverse[a] = j * n + i
-    unit_arrow = {x: idx[x] * n + idx[x] for x in units}
-    for i, j, k in itertools.product(range(n), repeat=3):
-        compose[(i * n + j, j * n + k)] = i * n + k
-    return FiniteGroupoid(units, dom, ran, inverse, unit_arrow, compose)
+    units = tuple(units)  # arrow i*n + j is (units[i], units[j]) : units[j] -> units[i]
+    return from_index_tables(units, np.arange(len(units) ** 2),
+                             *pair_times_tables(len(units), FiniteGroup.cyclic(1)))
 
 
 def pair_arrow(G, a, b):
@@ -456,16 +480,8 @@ def pair_arrow(G, a, b):
 
 
 def group_groupoid(group, unit="*"):
-    """A group viewed as a groupoid over a single unit."""
-    elements = group.elements
-    dom = {i: unit for i in range(len(elements))}
-    ran = dict(dom)
-    index = {e: i for i, e in enumerate(elements)}
-    inverse = {i: index[group.inv(e)] for i, e in enumerate(elements)}
-    compose = {(i, j): index[group.mul(elements[i], elements[j])]
-               for i in range(len(elements)) for j in range(len(elements))}
-    return FiniteGroupoid((unit,), dom, ran, inverse, {unit: index[group.identity]},
-                          compose)
+    """A group viewed as a groupoid over a single unit; arrow i is elements[i]."""
+    return from_index_tables((unit,), np.arange(len(group)), *pair_times_tables(1, group))
 
 
 def action_groupoid(units, group, act):
@@ -553,18 +569,14 @@ def direct_product(A, B):
         return aidx[g] * nb + bidx[h]
 
     units = tuple((x, y) for x in A.units for y in B.units)
-    dom, ran, inverse, compose = {}, {}, {}, {}
-    for g in A.arrows:
-        for h in B.arrows:
-            a = pid(g, h)
-            dom[a] = (A.dom[g], B.dom[h])
-            ran[a] = (A.ran[g], B.ran[h])
-            inverse[a] = pid(A.inverse[g], B.inverse[h])
-    unit_arrow = {(x, y): pid(A.unit_arrow[x], B.unit_arrow[y]) for (x, y) in units}
-    for (g1, h1), k1 in A.compose_table.items():
-        for (g2, h2), k2 in B.compose_table.items():
-            compose[(pid(g1, g2), pid(h1, h2))] = pid(k1, k2)
-    return FiniteGroupoid(units, dom, ran, inverse, unit_arrow, compose)
+    pairs = list(enumerate(itertools.product(A.arrows, B.arrows)))  # (pid(g, h), (g, h))
+    return FiniteGroupoid(
+        units, {a: (A.dom[g], B.dom[h]) for a, (g, h) in pairs},
+        {a: (A.ran[g], B.ran[h]) for a, (g, h) in pairs},
+        {a: pid(A.inverse[g], B.inverse[h]) for a, (g, h) in pairs},
+        {(x, y): pid(A.unit_arrow[x], B.unit_arrow[y]) for (x, y) in units},
+        {(pid(g1, g2), pid(h1, h2)): pid(k1, k2) for (g1, h1), k1 in A.compose_table.items()
+         for (g2, h2), k2 in B.compose_table.items()})
 
 
 def relabel_units(G, mapping):

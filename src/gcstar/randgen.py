@@ -5,18 +5,18 @@ instances.  Random groupoids are disjoint unions of transitive pieces, each
 a pair groupoid times a cyclic isotropy group, with unit labels and arrow
 ids shuffled afterwards so nothing downstream can lean on the construction
 order.  Only cyclic isotropy is drawn, so the draws cover the finite
-groupoids with cyclic isotropy groups, not all of them (item 3 of ROADMAP.md).
+groupoids with cyclic isotropy groups, not all of them (item 4 of ROADMAP.md).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from .bandops import BandOperator, Diagonal
 from .convolution import ArrowFunction
-from .groupoid import (FiniteGroup, direct_product, disjoint_union,
-                       group_groupoid, pair_groupoid, permute_arrow_ids,
-                       relabel_units)
+from .groupoid import FiniteGroup, from_index_tables, orbits, pair_times_tables
 
 
 def rng_from_seed(seed):
@@ -24,10 +24,16 @@ def rng_from_seed(seed):
 
 
 def random_groupoid(rng, max_units=12, max_arrows=60, max_orbit=4, max_isotropy=4):
-    """A random finite groupoid within the unit and arrow budgets."""
-    pieces = []
-    used_units = 0
-    used_arrows = 0
+    """A random finite groupoid within the unit and arrow budgets.
+
+    One pass assembles the draw: each piece pair(n) x Z_k is a set of index
+    tables (:func:`pair_times_tables`) offset past the earlier pieces, the
+    shuffled unit names and arrow ids are applied to all of them at once, and
+    the groupoid is constructed once.  Tables and dict orders are those of
+    ``disjoint_union`` of ``direct_product(pair_groupoid, group_groupoid)``
+    pieces passed through ``relabel_units`` and ``permute_arrow_ids``.
+    """
+    pieces, used_units, used_arrows = [], 0, 0
     while True:
         n = int(rng.integers(1, max_orbit + 1))
         k = int(rng.integers(1, max_isotropy + 1))
@@ -35,26 +41,24 @@ def random_groupoid(rng, max_units=12, max_arrows=60, max_orbit=4, max_isotropy=
         if used_units + n > max_units or used_arrows + cost > max_arrows:
             if pieces and (used_arrows >= max_arrows // 2 or rng.random() < 0.7):
                 break
-            # shrink until something fits
-            n, k = 1, 1
-            cost = 1
+            n, k, cost = 1, 1, 1  # shrink until something fits
             if used_units + 1 > max_units or used_arrows + 1 > max_arrows:
                 break
-        members = [f"u{used_units + i}" for i in range(n)]
-        piece = pair_groupoid(members)
-        if k > 1:
-            piece = direct_product(piece, group_groupoid(FiniteGroup.cyclic(k)))
-            piece = relabel_units(piece, {(x, "*"): x for x, _ in piece.units})
-        pieces.append(piece)
+        shifts = (used_units,) * 2 + (used_arrows,) * 5  # past the earlier pieces
+        pieces.append([table + shift for table, shift in zip(_cyclic_piece(n, k), shifts)])
         used_units += n
         used_arrows += cost
-    G = disjoint_union(pieces)
-    names = [f"x{i}" for i in range(G.n_units())]
+    names = [f"x{i}" for i in range(used_units)]
     rng.shuffle(names)
-    G = relabel_units(G, dict(zip(G.units, names)))
-    ids = np.asarray(G.arrows)
+    ids = np.arange(used_arrows)
     rng.shuffle(ids)
-    return permute_arrow_ids(G, dict(zip(G.arrows, (int(i) for i in ids))))
+    tables = map(np.concatenate, zip((np.zeros(0, int),) * 7, *pieces))  # seven, even if no piece
+    return from_index_tables(names, ids, *tables)
+
+
+@functools.lru_cache(maxsize=64)
+def _cyclic_piece(n, k):
+    return pair_times_tables(n, FiniteGroup.cyclic(k))
 
 
 def random_subset(rng, G, nonempty=True):
@@ -71,8 +75,6 @@ def random_admissible_cover(rng, G, max_sets=3):
     At least one member of every orbit appears in some subset, which is
     exactly the admissibility condition.
     """
-    from .groupoid import orbits
-
     count = int(rng.integers(1, max_sets + 1))
     cover = [set() for _ in range(count)]
     for orb in orbits(G):
@@ -127,34 +129,23 @@ def random_selfadjoint_tridiagonal(rng, margin=0.25, rel_margin=0.08,
         b = rng.normal(0.0, 1.0, size=2) + 1j * rng.normal(0.0, 1.0, size=2)
         intervals = [(a[i] - 2 * abs(b[i]), a[i] + 2 * abs(b[i])) for i in range(2)]
         # signed distance of 0 from each interval: positive outside, negative inside
-        distances = []
-        for lo, hi in intervals:
-            if 0.0 < lo:
-                distances.append(lo)
-            elif 0.0 > hi:
-                distances.append(-hi)
-            else:
-                distances.append(-min(hi, -lo))
+        distances = [max(lo, -hi) for lo, hi in intervals]
         scale_proxy = max(abs(a[i]) + 2 * abs(b[i]) for i in range(2))
-        guard = max(margin, rel_margin * scale_proxy)
-        if any(abs(d) < guard for d in distances):
-            continue
-        fredholm = all(d > 0 for d in distances)
-        break
+        if all(abs(d) >= max(margin, rel_margin * scale_proxy) for d in distances):
+            break
+    fredholm = all(d > 0 for d in distances)
 
-    diag = BandOperator({0: Diagonal(a[0], a[1],
-                                     tuple({int(i): float(core_scale * rng.standard_normal())
-                                            for i in range(-core_width, core_width)
-                                            if rng.random() < 0.4}.items()))})
-    upper = BandOperator({1: Diagonal(b[0], b[1],
-                                      tuple(random_core(rng, core_width, core_scale).items()))})
-    A = diag + upper + upper.adjoint()
-    oracle = {
-        "intervals": intervals,
-        "distances": distances,
-        "sided": (distances[0] > 0, distances[1] > 0),
-    }
-    return A, fredholm, oracle
+    diag = Diagonal(a[0], a[1], tuple({int(i): float(core_scale * rng.standard_normal())
+                                       for i in range(-core_width, core_width)
+                                       if rng.random() < 0.4}.items()))
+    upper = Diagonal(b[0], b[1], tuple(random_core(rng, core_width, core_scale).items()))
+    # c_{-1}(n) = conj c_1(n + 1), with a core entry at n = -1 from c_1(0)
+    lower = Diagonal(upper.limit_minus.conjugate(), upper.limit_plus.conjugate(),
+                     tuple((i - 1, v.conjugate()) for i, v in upper.core)
+                     + ((-1, upper.value(0).conjugate()),))
+    oracle = {"intervals": intervals, "distances": distances,
+              "sided": (distances[0] > 0, distances[1] > 0)}
+    return BandOperator({0: diag, 1: upper, -1: lower}), fredholm, oracle
 
 
 def random_core_perturbation(rng, A, width=5, scale=3.0):

@@ -74,12 +74,23 @@ _P2, _Z3 = pair_groupoid(["1", "2"]), group_groupoid(FiniteGroup.cyclic(3))
      "[associativity] (1*1)*2 = 2 but 1*(1*2) = 1"),
     (_mutated(_P2, unit_arrow={"ghost": 0}),
      "[tables] unit arrow given for 'ghost', which is not a unit"),
+    (_mutated(_P2, compose={(1, 2): 9}),
+     "[tables] compose entry (1,2)->9 references unknown arrows"),
 ])
 def test_validate_reports_each_rule(bad, first):
     assert validate(_P2).ok and validate(_Z3).ok
     report = validate(bad)
     assert report.lines()[0] == first
     assert str(report.violations[0]) == first
+
+
+def test_validate_lists_every_table_fault_in_table_order():
+    bad = _mutated(_P2, inverse={1: 9}, compose={(7, 2): 1, (1, 2): 8})
+    assert validate(bad).lines() == (
+        "[tables] inverse entry 1->9 references unknown arrows",
+        "[tables] compose entry (1,2)->8 references unknown arrows",
+        "[tables] compose entry (7,2)->1 references unknown arrows",
+    )
 
 
 @pytest.mark.parametrize("side", ["dom", "ran"])
