@@ -155,7 +155,9 @@ def regular_rep(G, x, f):
     """
     if x not in G.units:
         raise InputError(f"{x!r} is not a unit")
-    return RepMatrix(G.fiber(x), _left_translates(G.table, f.vec, G.table.positions(G.fiber(x))))
+    fiber = np.flatnonzero(G.table.dom == G.units.index(x))
+    return RepMatrix(tuple(map(G.arrows.__getitem__, fiber.tolist())),
+                     _left_translates(G.table, f.vec, fiber))
 
 
 def left_regular_rep(G, f):
@@ -199,7 +201,7 @@ def unit_projection(G, A):
     if stray:
         raise InputError(f"subset members {sorted(map(str, stray))} are not units")
     vec = np.zeros(G.n_arrows(), dtype=complex)
-    vec[G.table.positions(G.unit_arrow[x] for x in A)] = 1.0
+    vec[G.table.unit[[x in A for x in G.units]]] = 1.0
     return ArrowFunction.from_vector(G, vec)
 
 

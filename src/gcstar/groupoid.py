@@ -13,10 +13,13 @@ Conventions used throughout the package:
   a bijection from d^{-1}(ran g) onto d^{-1}(dom g), which is exactly the
   invariance the counting measures need.
 
-Structure tables are dicts keyed by arrow id, read in bulk through their one
-integer view :attr:`FiniteGroupoid.table`; neither is mutated after
-construction.  All operations in this package treat groupoids (and groups)
-as immutable values, so concurrent evaluation is safe.
+A groupoid is stored once, as integer index tables over the arrow positions
+(arrow ids in ascending order) and the unit positions: its
+:attr:`FiniteGroupoid.table`.  The dicts keyed by arrow id (``dom``,
+``ran``, ``inverse``, ``unit_arrow``, ``compose_table``) and the fibers are
+read-only views derived from those tables on first read.  Nothing is
+mutated after construction: all operations in this package treat groupoids
+(and groups) as immutable values, so concurrent evaluation is safe.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -109,10 +113,21 @@ class FiniteGroup:
         return g
 
 
-class FiniteGroupoid:
-    """A finite groupoid over a discrete unit space.
+def _pick(seq, at):
+    return map(seq.__getitem__, at.tolist())
 
-    Parameters are the raw structure tables:
+
+def _view(items):
+    """A read-only dict of ``items(G)``, built on the first read."""
+    return functools.cached_property(lambda G: MappingProxyType(dict(items(G))))
+
+
+class FiniteGroupoid:
+    """A finite groupoid over a discrete unit space, stored as ``units``,
+    ``arrows`` (ascending ids) and their :class:`ArrowTable`.
+
+    :func:`from_index_tables` builds one from index tables; this constructor
+    from dicts, resolving each reference once:
 
     units       ordered sequence of unit labels (hashable, distinct)
     dom, ran    dicts arrow id -> unit
@@ -120,28 +135,85 @@ class FiniteGroupoid:
     unit_arrow  dict unit -> arrow id of the embedded unit
     compose     dict (g, h) -> gh for the composable pairs
 
-    No axioms are enforced here; run :func:`validate` to obtain a report.
+    An endpoint outside the units is refused; any other unknown arrow or unit
+    is kept as a ``tables`` violation of :func:`validate`, and leaves the
+    groupoid without a :attr:`table`.  No axioms are enforced here.  The
+    dicts (``dom`` ... ``compose_table``) and the fibers are read-only views
+    of the table, built on first read.
     """
 
     def __init__(self, units, dom, ran, inverse, unit_arrow, compose):
-        self.units = tuple(units)
-        if len(set(self.units)) != len(self.units):
+        units = tuple(units)
+        unit_index = {x: i for i, x in enumerate(units)}
+        if len(unit_index) != len(units):
             raise InputError("duplicate units")
-        self.dom = dict(dom)
-        self.ran = dict(ran)
-        self.inverse = dict(inverse)
-        self.unit_arrow = dict(unit_arrow)
-        self.compose_table = dict(compose)
-        self.arrows = tuple(sorted(self.dom))
-        if set(self.ran) != set(self.dom):
+        arrows = tuple(sorted(dom))
+        if set(ran) != set(dom):
             raise InputError("dom and ran tables disagree on the arrow set")
-        self._fiber = {x: [] for x in self.units}
-        for g in self.arrows:
-            d, r = self.dom[g], self.ran[g]
-            if d not in self._fiber or r not in self._fiber:
-                raise InputError(f"arrow {g} has an endpoint outside the unit set")
-            self._fiber[d].append(g)
-        self._fiber = {x: tuple(v) for x, v in self._fiber.items()}
+        ends = [_resolve(unit_index, map(table.__getitem__, arrows)) for table in (dom, ran)]
+        outside = np.flatnonzero((ends[0] < 0) | (ends[1] < 0))
+        if len(outside):
+            raise InputError(f"arrow {arrows[outside[0]]} has an endpoint outside the unit set")
+        position = {g: i for i, g in enumerate(arrows)}
+        at_inverse = _resolve(position, map(inverse.get, arrows))
+        at_unit = _resolve(position, map(unit_arrow.get, units))
+        pairs = _resolve(position, itertools.chain.from_iterable(compose)).reshape(-1, 2)
+        products = _resolve(position, compose.values())
+
+        faults, known = [], position.keys()  # in the order validate lists them
+        if len(inverse) != len(arrows) or (at_inverse < 0).any():
+            faults += [f"inverse entry {g}->{gi} references unknown arrows"
+                       for g, gi in inverse.items() if not {g, gi} <= known]
+            if inverse.keys() != known:
+                faults.append("inverse is not total on the arrow set")
+        if len(unit_arrow) != len(units) or (at_unit < 0).any():
+            faults += [f"unit {x!r} has no unit arrow" if x not in unit_arrow
+                       else f"unit arrow of {x!r} is not an arrow"
+                       for x, at in zip(units, at_unit.tolist()) if at < 0]
+            faults += [f"unit arrow given for {x!r}, which is not a unit"
+                       for x in unit_arrow if x not in unit_index]
+        if (pairs < 0).any() or (products < 0).any():
+            faults += [f"compose entry ({g},{h})->{k} references unknown arrows"
+                       for (g, h), k in compose.items() if not {g, h, k} <= known]
+        self._store(units, ArrowTable(arrows, *ends, at_inverse, at_unit, *pairs.T, products),
+                    tuple(faults))
+
+    def _store(self, units, table, faults=()):
+        """The one place a groupoid takes its stored form."""
+        self.units, self.arrows, self._table, self._faults = units, table.arrows, table, faults
+
+    @property
+    def table(self):
+        """The :class:`ArrowTable` this groupoid is stored as; refused when
+        the tables name an unknown arrow or unit."""
+        if self._faults:
+            raise InputError(f"structure tables name an unknown arrow or unit: {self._faults[0]}")
+        return self._table
+
+    dom = _view(lambda G: zip(G.arrows, _pick(G.units, G._table.dom)))
+    ran = _view(lambda G: zip(G.arrows, _pick(G.units, G._table.ran)))
+    inverse = _view(lambda G: zip(G.arrows, _pick(G.arrows, G.table.inverse)))
+    unit_arrow = _view(lambda G: zip(G.units, _pick(G.arrows, G.table.unit)))
+    compose_table = _view(lambda G: zip(zip(_pick(G.arrows, G.table.left),
+                                            _pick(G.arrows, G.table.right)),
+                                        _pick(G.arrows, G.table.composite)))
+
+    @functools.cached_property
+    def _fibers(self):
+        fibers = {x: [] for x in self.units}
+        for g, x in zip(self.arrows, _pick(self.units, self._table.dom)):
+            fibers[x].append(g)
+        return {x: tuple(v) for x, v in fibers.items()}
+
+    @functools.cached_property
+    def _orbits(self):
+        uf = UnionFind(self.units)
+        for x, y in zip(_pick(self.units, self._table.dom), _pick(self.units, self._table.ran)):
+            uf.union(x, y)
+        groups = {}  # listed by their first unit
+        for x in self.units:
+            groups.setdefault(uf.find(x), []).append(x)
+        return tuple(frozenset(v) for v in groups.values())
 
     # -- basic queries ----------------------------------------------------
 
@@ -153,11 +225,11 @@ class FiniteGroupoid:
 
     def fiber(self, x):
         """Arrows with domain x, i.e. d^{-1}(x), in ascending id order."""
-        return self._fiber[x]
+        return self._fibers[x]
 
     def hom(self, x, y):
         """Arrows from x to y (dom = x, ran = y)."""
-        return tuple(g for g in self._fiber[x] if self.ran[g] == y)
+        return tuple(g for g in self.fiber(x) if self.ran[g] == y)
 
     def compose(self, g, h):
         try:
@@ -174,51 +246,57 @@ class FiniteGroupoid:
     def is_unit_arrow(self, g):
         return self.unit_arrow.get(self.dom[g]) == g
 
-    @functools.cached_property
-    def table(self):
-        """The :class:`ArrowTable` of this groupoid, built on first use.
-
-        Needs well-formed tables (the ``tables`` phase of :func:`validate`).
-        """
-        position = {g: i for i, g in enumerate(self.arrows)}
-        unit_index = {x: i for i, x in enumerate(self.units)}
-        try:
-            pairs = _lookup(position, itertools.chain.from_iterable(self.compose_table))
-            product = np.full((len(position),) * 2, -1)
-            product[pairs[0::2], pairs[1::2]] = _lookup(position, self.compose_table.values())
-            return ArrowTable(position, _lookup(unit_index, map(self.dom.get, self.arrows)),
-                              _lookup(unit_index, map(self.ran.get, self.arrows)),
-                              _lookup(position, map(self.inverse.get, self.arrows)),
-                              _lookup(position, map(self.unit_arrow.get, self.units)),
-                              product)
-        except KeyError as exc:
-            raise InputError(f"structure tables name an unknown arrow or unit {exc}") from None
-
     def __repr__(self):
         return f"FiniteGroupoid({self.n_units()} units, {self.n_arrows()} arrows)"
 
 
 @dataclass(frozen=True, eq=False)
 class ArrowTable:
-    """The structure tables as integer arrays over arrow and unit positions."""
+    """The structure tables as read-only integer arrays over arrow positions
+    (``arrows``, ascending ids) and unit positions."""
 
-    position: dict        # arrow id -> its index in G.arrows
-    dom: np.ndarray       # unit index of dom(g), per arrow position
-    ran: np.ndarray       # unit index of ran(g), per arrow position
-    inverse: np.ndarray   # position of the inverse, per arrow position
-    unit: np.ndarray      # position of the unit arrow, per unit index
-    product: np.ndarray   # n x n: position of arrows[i] * arrows[j], or -1
+    arrows: tuple           # arrow ids; position p holds arrows[p]
+    dom: np.ndarray         # unit index of dom(g), per arrow position
+    ran: np.ndarray         # unit index of ran(g), per arrow position
+    inverse: np.ndarray     # position of the inverse, per arrow position
+    unit: np.ndarray        # position of the unit arrow, per unit index
+    left: np.ndarray        # the composable pairs (left, right) and the
+    right: np.ndarray       # positions of their products, in
+    composite: np.ndarray   # compose_table order
+
+    def __post_init__(self):
+        for table in self.index_tables:
+            table.flags.writeable = False
+
+    @property
+    def index_tables(self):
+        """The seven arrays, in the argument order of :func:`from_index_tables`."""
+        return self.dom, self.ran, self.inverse, self.unit, self.left, self.right, self.composite
+
+    @functools.cached_property
+    def position(self):
+        """Arrow id -> its position, built on first use."""
+        return {g: i for i, g in enumerate(self.arrows)}
+
+    @functools.cached_property
+    def product(self):
+        """n x n: position of arrows[i] * arrows[j], or -1; built on first use."""
+        product = np.full((len(self.arrows),) * 2, -1)
+        product[self.left, self.right] = self.composite
+        product.flags.writeable = False
+        return product
 
     def positions(self, ids):
         """Positions of the arrow ids ``ids``, as an int array."""
         try:
-            return _lookup(self.position, ids)
+            return np.fromiter(map(self.position.__getitem__, ids), np.intp)
         except KeyError as exc:
             raise InputError(f"arrow {exc} lies outside the algebra") from None
 
 
-def _lookup(index, keys):
-    return np.fromiter(map(index.__getitem__, keys), np.intp)
+def _resolve(index, keys):
+    """index[k] for each key, -1 where the key is missing, as an int array."""
+    return np.fromiter(map(index.get, keys, itertools.repeat(-1)), np.intp)
 
 
 # -- validation -----------------------------------------------------------
@@ -249,53 +327,33 @@ class ValidationReport:
 
 def validate(G):
     """Check every groupoid axiom; violations are report entries, not errors."""
-    bad = []
-    arrows = set(G.arrows)
+    # Well-formedness of the tables first; the axiom checks below assume it.
+    # The constructor refused endpoints outside the units and recorded every
+    # other reference it could not resolve.
+    bad = [Violation("tables", detail) for detail in G._faults]
+    if bad:
+        return ValidationReport(tuple(bad))
 
     def add(rule, detail):
         bad.append(Violation(rule, detail))
 
-    # Well-formedness of the tables first; the axiom checks below assume it.
-    # Endpoints outside the units are refused by the constructor already.
-    for g, gi in G.inverse.items():
-        if g not in arrows or gi not in arrows:
-            add("tables", f"inverse entry {g}->{gi} references unknown arrows")
-    if set(G.inverse) != arrows:
-        add("tables", "inverse is not total on the arrow set")
-    for x in G.units:
-        if x not in G.unit_arrow:
-            add("tables", f"unit {x!r} has no unit arrow")
-        elif G.unit_arrow[x] not in arrows:
-            add("tables", f"unit arrow of {x!r} is not an arrow")
-    for x in G.unit_arrow:
-        if x not in G.units:
-            add("tables", f"unit arrow given for {x!r}, which is not a unit")
-    try:  # past the checks above, only a compose entry naming an unknown arrow fails here
-        T = None if bad else G.table
-    except InputError:
-        T = None
-    if T is None:
-        for (g, h), k in G.compose_table.items():
-            if g not in arrows or h not in arrows or k not in arrows:
-                add("tables", f"compose entry ({g},{h})->{k} references unknown arrows")
-        return ValidationReport(tuple(bad))
-
     # Every axiom below is one comparison on the integer view; Python only
     # walks the flagged cells, in the order the report lists them.
+    T = G.table
     P, ids = T.product, G.arrows
     every, units = np.arange(len(ids)), np.arange(len(G.units))
 
     for x in np.flatnonzero((T.dom[T.unit] != units) | (T.ran[T.unit] != units)):
-        x, u = G.units[x], ids[T.unit[x]]
-        add("unit-endpoints", f"unit arrow {u} of {x!r} has endpoints "
-            f"({G.dom[u]!r},{G.ran[u]!r})")
+        u = T.unit[x]
+        add("unit-endpoints", f"unit arrow {ids[u]} of {G.units[x]!r} has endpoints "
+            f"({G.units[T.dom[u]]!r},{G.units[T.ran[u]]!r})")
 
     def per_arrow(*rules):  # flagged arrows in order, each with its rules in order
         for i in np.flatnonzero(np.logical_or.reduce([fails for _, fails, _ in rules])):
-            g = ids[i]
+            g, gi, gii = ids[i], ids[T.inverse[i]], ids[T.inverse[T.inverse[i]]]
             for rule, fails, detail in rules:
                 if fails[i]:
-                    add(rule, detail.format(g=g, gi=G.inverse[g], gii=G.inverse[G.inverse[g]]))
+                    add(rule, detail.format(g=g, gi=gi, gii=gii))
 
     per_arrow(("inverse-involution", T.inverse[T.inverse] != every,
                "inverse(inverse({g})) = {gii}"),
@@ -339,9 +397,10 @@ def validate(G):
             second = padded[hk]
             a, b = (first != second).nonzero()
             failures += zip(gs[a], hs[a], ks[b], first[a, b], second[a, b])
-    if failures:
-        rank = {pair: r for r, pair in enumerate(G.compose_table)}
-        failures.sort(key=lambda t: (rank[(ids[t[0]], ids[t[1]])], t[2]))
+    if failures:  # in compose_table order of (g, h), then by k
+        rank = np.empty((n, n), np.intp)
+        rank[T.left, T.right] = np.arange(len(T.left))
+        failures.sort(key=lambda t: (rank[t[0], t[1]], t[2]))
     for i, j, k, first, second in failures:
         g, h, k = ids[i], ids[j], ids[k]
         first, second = (ids[p] if p >= 0 else None for p in (first, second))
@@ -364,25 +423,29 @@ def _check_subset(G, A):
 def reduction(G, A):
     """The subgroupoid of arrows with both endpoints in A, over units A.
 
-    Arrow ids are inherited from G.
+    Arrow ids are inherited from G.  A mask on the endpoints picks the
+    arrows; positions and unit indices are renumbered past the dropped ones.
     """
     A = _check_subset(G, A)
-    keep = {g for g in G.arrows if G.dom[g] in A and G.ran[g] in A}
-    return FiniteGroupoid(
-        units=tuple(x for x in G.units if x in A),
-        dom={g: G.dom[g] for g in keep},
-        ran={g: G.ran[g] for g in keep},
-        inverse={g: G.inverse[g] for g in keep},
-        unit_arrow={x: G.unit_arrow[x] for x in A},
-        compose={(g, h): k for (g, h), k in G.compose_table.items()
-                 if g in keep and h in keep},
-    )
+    T, in_A = G.table, np.array([x in A for x in G.units], dtype=bool)
+    keep = in_A[T.dom] & in_A[T.ran]
+    pairs = keep[T.left] & keep[T.right]
+    at_unit, at = np.cumsum(in_A) - 1, np.where(keep, np.cumsum(keep) - 1, -1)
+    tables = (at[T.inverse[keep]], at[T.unit[in_A]],
+              at[T.left[pairs]], at[T.right[pairs]], at[T.composite[pairs]])
+    if np.concatenate(tables).min(initial=0) < 0:  # an entry leaves A: G breaks an axiom
+        raise InputError(f"cannot reduce a groupoid that fails validation: {validate(G).lines()[0]}")
+    return from_index_tables(tuple(itertools.compress(G.units, in_A)),
+                             np.asarray(G.arrows)[keep], at_unit[T.dom[keep]],
+                             at_unit[T.ran[keep]], *tables)
 
 
 def saturation(G, U):
     """All units reachable from U: { ran(g) : dom(g) in U }."""
-    U = _check_subset(G, U)
-    return frozenset(G.ran[g] for g in G.arrows if G.dom[g] in U)
+    U, T = _check_subset(G, U), G._table
+    reached = np.zeros(G.n_units(), dtype=bool)
+    reached[T.ran[np.array([x in U for x in G.units], dtype=bool)[T.dom]]] = True
+    return frozenset(itertools.compress(G.units, reached))
 
 
 def is_invariant(G, U):
@@ -410,14 +473,11 @@ class UnionFind:
 
 
 def orbits(G):
-    """Partition of the units into reachability classes, in unit order."""
-    uf = UnionFind(G.units)
-    for g in G.arrows:
-        uf.union(G.dom[g], G.ran[g])
-    groups = {}  # listed by their first unit
-    for x in G.units:
-        groups.setdefault(uf.find(x), []).append(x)
-    return tuple(frozenset(v) for v in groups.values())
+    """Partition of the units into reachability classes, in unit order.
+
+    Computed once per groupoid.
+    """
+    return G._orbits
 
 
 def isotropy(G, x):
@@ -432,43 +492,70 @@ def isotropy(G, x):
 # -- builders ---------------------------------------------------------------
 
 
-def pair_times_tables(n, group):
-    """Read-only index tables of pair(n) x group, from the group's table.
+def pair_tables(n):
+    """Index tables of the pair groupoid on n units: arrow i n + j runs from
+    unit j to unit i."""
+    i, j = np.indices((n, n)).reshape(2, -1)
+    i3, j3, l3 = np.indices((n, n, n)).reshape(3, -1)
+    return j, i, j * n + i, np.arange(n) * (n + 1), i3 * n + j3, j3 * n + l3, i3 * n + l3
 
-    Arrow (i n + j) |group| + e runs from unit j to unit i with isotropy part
-    group.elements[e].  The tables: dom, ran and inverse per arrow, the unit
-    arrow per unit, and the composable pairs (left, right) with their
-    products, listed as :func:`direct_product` lists them.
-    """
+
+def group_tables(group):
+    """Index tables of a group over one unit: arrow e is group.elements[e]."""
     index = {x: e for e, x in enumerate(group.elements)}
     mul = np.array([[index[group.mul(x, y)] for y in group.elements] for x in group.elements])
-    inv = np.array([index[group.inv(x)] for x in group.elements])
-    k, units = len(group), np.arange(n)
-    i, j, e = np.indices((n, n, k)).reshape(3, -1)
-    i3, j3, l3, e3, f3 = np.indices((n, n, n, k, k)).reshape(5, -1)
-    tables = (j, i, (j * n + i) * k + inv[e], (units * n + units) * k + index[group.identity],
-              (i3 * n + j3) * k + e3, (j3 * n + l3) * k + f3, (i3 * n + l3) * k + mul[e3, f3])
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    e, f = np.indices(mul.shape).reshape(2, -1)
+    zero = np.zeros(len(index), np.intp)
+    return (zero, zero, np.array([index[group.inv(x)] for x in group.elements]),
+            np.array([index[group.identity]]), e, f, mul[e, f])
+
+
+def product_tables(A, B, units_b, arrows_b):
+    """Index tables of a direct product, from the factors' tables and B's unit
+    and arrow counts: entry a of A's table with entry b of B's is
+    a * count + b, for every a and then every b."""
+    counts = (units_b,) * 2 + (arrows_b,) * 5
+    return tuple((a[:, None] * n + b).ravel() for a, b, n in zip(A, B, counts))
+
+
+def union_tables(pieces):
+    """Index tables of a disjoint union of (index tables, unit count, arrow
+    count) pieces: each piece offset past the units and arrows before it."""
+    shifted, units, arrows = [], 0, 0
+    for tables, n_units, n_arrows in pieces:
+        shifted.append([t + s for t, s in zip(tables, (units,) * 2 + (arrows,) * 5)])
+        units, arrows = units + n_units, arrows + n_arrows
+    return tuple(map(np.concatenate, zip((np.zeros(0, np.intp),) * 7, *shifted)))
 
 
 def from_index_tables(units, ids, dom, ran, inverse, unit, left, right, product):
-    """The groupoid over ``units`` with the index tables of
-    :func:`pair_times_tables`; the arrow at position p gets the id ids[p]."""
-    arrows = ids.tolist()
-    return FiniteGroupoid(
-        units, dict(zip(arrows, (units[x] for x in dom.tolist()))),
-        dict(zip(arrows, (units[x] for x in ran.tolist()))),
-        dict(zip(arrows, ids[inverse].tolist())), dict(zip(units, ids[unit].tolist())),
-        dict(zip(zip(ids[left].tolist(), ids[right].tolist()), ids[product].tolist())))
+    """The groupoid over ``units`` with these index tables; every builder of
+    this module goes through here.
+
+    The arrow at position p has id ids[p], domain units[dom[p]], range
+    units[ran[p]] and its inverse at position inverse[p]; the unit arrow of
+    units[x] is at position unit[x]; each composable pair (left[c], right[c])
+    has its product at position product[c], in ``compose_table`` order.
+    Positions are renumbered to ascending id order when ``ids`` are not.
+    """
+    ids, (dom, ran, inverse, unit, left, right, product) = np.asarray(ids), (
+        np.asarray(t, dtype=np.intp) for t in (dom, ran, inverse, unit, left, right, product))
+    if not (ids[1:] > ids[:-1]).all():
+        order = np.argsort(ids)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        ids, dom, ran, inverse = ids[order], dom[order], ran[order], rank[inverse[order]]
+        unit, left, right, product = rank[unit], rank[left], rank[right], rank[product]
+    G = FiniteGroupoid.__new__(FiniteGroupoid)
+    G._store(tuple(units), ArrowTable(tuple(ids.tolist()), dom, ran, inverse, unit, left, right,
+                                      product))
+    return G
 
 
 def pair_groupoid(units):
     """The pair groupoid: exactly one arrow (a, b) from b to a, for all a, b."""
     units = tuple(units)  # arrow i*n + j is (units[i], units[j]) : units[j] -> units[i]
-    return from_index_tables(units, np.arange(len(units) ** 2),
-                             *pair_times_tables(len(units), FiniteGroup.cyclic(1)))
+    return from_index_tables(units, np.arange(len(units) ** 2), *pair_tables(len(units)))
 
 
 def pair_arrow(G, a, b):
@@ -481,7 +568,7 @@ def pair_arrow(G, a, b):
 
 def group_groupoid(group, unit="*"):
     """A group viewed as a groupoid over a single unit; arrow i is elements[i]."""
-    return from_index_tables((unit,), np.arange(len(group)), *pair_times_tables(1, group))
+    return from_index_tables((unit,), np.arange(len(group)), *group_tables(group))
 
 
 def action_groupoid(units, group, act):
@@ -489,46 +576,37 @@ def action_groupoid(units, group, act):
 
     ``act`` maps (unit, element) to a unit and must satisfy the right-action
     laws  act(x, e) == x  and  act(act(x, g), h) == act(x, g*h).  The arrow
-    (x, g) runs from act(x, inv(g)) to x, and
-    (x, g) * (act(x, inv(g)), h) == (x, h*g).
+    (x, g), with id index(x) * |group| + index(g), runs from act(x, inv(g))
+    to x, and (x, g) * (act(x, inv(g)), h) == (x, h*g).
     """
-    units = tuple(units)
-    if callable(act):
-        action = {(x, g): act(x, g) for x in units for g in group.elements}
-    else:
-        action = dict(act)
-    for x in units:
-        for g in group.elements:
-            if (x, g) not in action or action[(x, g)] not in units:
-                raise InputError(f"action undefined or escapes units at ({x!r},{g!r})")
-    for x in units:
-        if action[(x, group.identity)] != x:
-            raise InputError(f"action identity law fails at {x!r}")
-    for x in units:
-        for g in group.elements:
-            for h in group.elements:
-                if action[(action[(x, g)], h)] != action[(x, group.mul(g, h))]:
-                    raise InputError(
-                        "action compatibility fails at "
-                        f"(x={x!r}, g={g!r}, h={h!r}): "
-                        f"act(act(x,g),h) != act(x, g*h)")
+    units, elements = tuple(units), group.elements
+    action = ({(x, g): act(x, g) for x in units for g in elements} if callable(act)
+              else dict(act))
+    missing = object()
+    for x, g in itertools.product(units, elements):
+        if action.get((x, g), missing) not in units:
+            raise InputError(f"action undefined or escapes units at ({x!r},{g!r})")
+    _, _, inv, (identity,), _, _, mul = group_tables(group)
+    mul, index = mul.reshape(len(elements), -1), {x: i for i, x in enumerate(units)}
+    at = np.array([index[action[key]] for key in itertools.product(units, elements)],
+                  dtype=np.intp).reshape(len(units), len(elements))  # at[x, g] = act(x, g)
+    wrong = np.flatnonzero(at[:, identity] != np.arange(len(units)))
+    if len(wrong):
+        raise InputError(f"action identity law fails at {units[wrong[0]]!r}")
+    wrong = np.argwhere(at[at] != at[:, mul])  # act(act(x, g), h) against act(x, g h)
+    if len(wrong):
+        x, g, h = wrong[0]
+        raise InputError("action compatibility fails at "
+                         f"(x={units[x]!r}, g={elements[g]!r}, h={elements[h]!r}): "
+                         f"act(act(x,g),h) != act(x, g*h)")
 
-    uidx = {x: i for i, x in enumerate(units)}
-    gidx = {g: i for i, g in enumerate(group.elements)}
-    ng = len(group.elements)
-
-    def aid(x, g):
-        return uidx[x] * ng + gidx[g]
-
-    dom, ran, inverse, compose = {}, {}, {}, {}
-    for x in units:
-        for g in group.elements:
-            a, y = aid(x, g), action[(x, group.inv(g))]
-            ran[a], dom[a], inverse[a] = x, y, aid(y, group.inv(g))
-            for h in group.elements:
-                compose[(a, aid(y, h))] = aid(x, group.mul(h, g))
-    unit_arrow = {x: aid(x, group.identity) for x in units}
-    return FiniteGroupoid(units, dom, ran, inverse, unit_arrow, compose)
+    source, n = at[:, inv].ravel(), len(elements)  # the arrow (x, g) starts at act(x, inv g)
+    x, g, h = np.indices(at.shape + (n,)).reshape(3, -1)
+    return from_index_tables(
+        units, np.arange(len(source)), source, np.repeat(np.arange(len(units)), n),
+        source * n + np.tile(inv, len(units)),
+        np.arange(len(units)) * n + identity,
+        x * n + g, source[x * n + g] * n + h, x * n + mul[h, g])
 
 
 def disjoint_union(pieces):
@@ -536,23 +614,12 @@ def disjoint_union(pieces):
 
     Arrow ids are renumbered densely, piece after piece in input order.
     """
-    units, dom, ran, inverse, unit_arrow, compose = [], {}, {}, {}, {}, {}
-    offset = 0
-    for G in pieces:
-        if set(G.units) & set(units):
-            raise InputError("pieces of a disjoint union share units")
-        remap = {g: offset + i for i, g in enumerate(G.arrows)}
-        units.extend(G.units)
-        for g in G.arrows:
-            dom[remap[g]] = G.dom[g]
-            ran[remap[g]] = G.ran[g]
-            inverse[remap[g]] = remap[G.inverse[g]]
-        for x in G.units:
-            unit_arrow[x] = remap[G.unit_arrow[x]]
-        for (g, h), k in G.compose_table.items():
-            compose[(remap[g], remap[h])] = remap[k]
-        offset += G.n_arrows()
-    return FiniteGroupoid(units, dom, ran, inverse, unit_arrow, compose)
+    pieces = list(pieces)
+    units = tuple(x for G in pieces for x in G.units)
+    if len(set(units)) != len(units):
+        raise InputError("pieces of a disjoint union share units")
+    return from_index_tables(units, np.arange(sum(G.n_arrows() for G in pieces)), *union_tables(
+        (G.table.index_tables, G.n_units(), G.n_arrows()) for G in pieces))
 
 
 def direct_product(A, B):
@@ -561,22 +628,10 @@ def direct_product(A, B):
     The arrow pair (g, h) gets id index(g) * |arrows B| + index(h), with
     indices taken in each factor's ascending id order.
     """
-    aidx = {g: i for i, g in enumerate(A.arrows)}
-    bidx = {h: i for i, h in enumerate(B.arrows)}
-    nb = B.n_arrows()
-
-    def pid(g, h):
-        return aidx[g] * nb + bidx[h]
-
-    units = tuple((x, y) for x in A.units for y in B.units)
-    pairs = list(enumerate(itertools.product(A.arrows, B.arrows)))  # (pid(g, h), (g, h))
-    return FiniteGroupoid(
-        units, {a: (A.dom[g], B.dom[h]) for a, (g, h) in pairs},
-        {a: (A.ran[g], B.ran[h]) for a, (g, h) in pairs},
-        {a: pid(A.inverse[g], B.inverse[h]) for a, (g, h) in pairs},
-        {(x, y): pid(A.unit_arrow[x], B.unit_arrow[y]) for (x, y) in units},
-        {(pid(g1, g2), pid(h1, h2)): pid(k1, k2) for (g1, h1), k1 in A.compose_table.items()
-         for (g2, h2), k2 in B.compose_table.items()})
+    return from_index_tables(tuple(itertools.product(A.units, B.units)),
+                             np.arange(A.n_arrows() * B.n_arrows()),
+                             *product_tables(A.table.index_tables, B.table.index_tables,
+                                             B.n_units(), B.n_arrows()))
 
 
 def relabel_units(G, mapping):
@@ -584,14 +639,7 @@ def relabel_units(G, mapping):
     mapping = dict(mapping)
     if set(mapping) != set(G.units) or len(set(mapping.values())) != len(G.units):
         raise InputError("relabelling must be a bijection defined on all units")
-    return FiniteGroupoid(
-        units=tuple(mapping[x] for x in G.units),
-        dom={g: mapping[G.dom[g]] for g in G.arrows},
-        ran={g: mapping[G.ran[g]] for g in G.arrows},
-        inverse=G.inverse,
-        unit_arrow={mapping[x]: a for x, a in G.unit_arrow.items()},
-        compose=G.compose_table,
-    )
+    return from_index_tables((mapping[x] for x in G.units), G.arrows, *G.table.index_tables)
 
 
 def permute_arrow_ids(G, perm):
@@ -599,14 +647,7 @@ def permute_arrow_ids(G, perm):
     perm = dict(perm)
     if set(perm) != set(G.arrows) or len(set(perm.values())) != len(G.arrows):
         raise InputError("permutation must be a bijection defined on all arrows")
-    return FiniteGroupoid(
-        units=G.units,
-        dom={perm[g]: G.dom[g] for g in G.arrows},
-        ran={perm[g]: G.ran[g] for g in G.arrows},
-        inverse={perm[g]: perm[gi] for g, gi in G.inverse.items()},
-        unit_arrow={x: perm[a] for x, a in G.unit_arrow.items()},
-        compose={(perm[g], perm[h]): perm[k] for (g, h), k in G.compose_table.items()},
-    )
+    return from_index_tables(G.units, [perm[g] for g in G.arrows], *G.table.index_tables)
 
 
 # -- morphisms --------------------------------------------------------------

@@ -16,7 +16,8 @@ import numpy as np
 
 from .bandops import BandOperator, Diagonal
 from .convolution import ArrowFunction
-from .groupoid import FiniteGroup, from_index_tables, orbits, pair_times_tables
+from .groupoid import (FiniteGroup, from_index_tables, group_tables, orbits, pair_tables,
+                       product_tables, union_tables)
 
 
 def rng_from_seed(seed):
@@ -26,10 +27,10 @@ def rng_from_seed(seed):
 def random_groupoid(rng, max_units=12, max_arrows=60, max_orbit=4, max_isotropy=4):
     """A random finite groupoid within the unit and arrow budgets.
 
-    One pass assembles the draw: each piece pair(n) x Z_k is a set of index
-    tables (:func:`pair_times_tables`) offset past the earlier pieces, the
-    shuffled unit names and arrow ids are applied to all of them at once, and
-    the groupoid is constructed once.  Tables and dict orders are those of
+    One pass assembles the draw as index tables, the groupoid's stored form:
+    the pieces pair(n) x Z_k are stacked by :func:`union_tables`, and
+    :func:`from_index_tables` takes them with the shuffled unit names and
+    arrow ids and constructs the groupoid once.  The tables are those of
     ``disjoint_union`` of ``direct_product(pair_groupoid, group_groupoid)``
     pieces passed through ``relabel_units`` and ``permute_arrow_ids``.
     """
@@ -44,21 +45,23 @@ def random_groupoid(rng, max_units=12, max_arrows=60, max_orbit=4, max_isotropy=
             n, k, cost = 1, 1, 1  # shrink until something fits
             if used_units + 1 > max_units or used_arrows + 1 > max_arrows:
                 break
-        shifts = (used_units,) * 2 + (used_arrows,) * 5  # past the earlier pieces
-        pieces.append([table + shift for table, shift in zip(_cyclic_piece(n, k), shifts)])
+        pieces.append((_cyclic_piece(n, k), n, cost))
         used_units += n
         used_arrows += cost
     names = [f"x{i}" for i in range(used_units)]
     rng.shuffle(names)
     ids = np.arange(used_arrows)
     rng.shuffle(ids)
-    tables = map(np.concatenate, zip((np.zeros(0, int),) * 7, *pieces))  # seven, even if no piece
-    return from_index_tables(names, ids, *tables)
+    return from_index_tables(names, ids, *union_tables(pieces))
 
 
 @functools.lru_cache(maxsize=64)
 def _cyclic_piece(n, k):
-    return pair_times_tables(n, FiniteGroup.cyclic(k))
+    """Read-only index tables of pair(n) x Z_k."""
+    tables = product_tables(pair_tables(n), group_tables(FiniteGroup.cyclic(k)), 1, k)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def random_subset(rng, G, nonempty=True):

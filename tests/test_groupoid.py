@@ -1,15 +1,18 @@
 import itertools
 import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcstar.errors import InputError
 from gcstar.groupoid import (FiniteGroup, FiniteGroupoid, GroupoidMorphism,
                              action_groupoid, direct_product, disjoint_union,
                              group_groupoid, is_invariant, isotropy, orbits,
-                             pair_groupoid, reduction, relabel_units,
-                             saturation, validate)
+                             pair_groupoid, permute_arrow_ids, reduction,
+                             relabel_units, saturation, validate)
 from gcstar.fixtures import broken_pair3, swap_action, trivial_action_two_points
 from gcstar.randgen import random_groupoid, random_subset, rng_from_seed
 
@@ -90,6 +93,16 @@ def test_validate_lists_every_table_fault_in_table_order():
         "[tables] inverse entry 1->9 references unknown arrows",
         "[tables] compose entry (1,2)->8 references unknown arrows",
         "[tables] compose entry (7,2)->1 references unknown arrows",
+    )
+    # unit faults come between the inverse and the compose faults
+    bad = FiniteGroupoid(_P2.units, _P2.dom, _P2.ran, {**_P2.inverse, 1: 9},
+                         {"ghost": 0, "2": 7}, {**_P2.compose_table, (1, 2): 8})
+    assert validate(bad).lines() == (
+        "[tables] inverse entry 1->9 references unknown arrows",
+        "[tables] unit '1' has no unit arrow",
+        "[tables] unit arrow of '2' is not an arrow",
+        "[tables] unit arrow given for 'ghost', which is not a unit",
+        "[tables] compose entry (1,2)->8 references unknown arrows",
     )
 
 
@@ -344,10 +357,19 @@ def test_reductions_validate():
             assert validate(reduction(G, random_subset(rng, G))).ok
 
 
+def _holds_no_dict(obj):
+    return not any(isinstance(v, Mapping) for v in vars(obj).values())
+
+
 def test_integer_table_matches_the_dict_tables():
-    _, draws = _draws(47, 10)
+    rng, draws = _draws(47, 10)
+    draws += [reduction(draws[0], random_subset(rng, draws[0])), swap_action(),
+              relabel_units(draws[1], {x: ("r", x) for x in draws[1].units})]
     for G in draws:
-        assert "table" not in vars(G)  # built on first use, not by the constructor
+        # built from arrays: no dict until one is read, neither view nor index
+        assert _holds_no_dict(G) and _holds_no_dict(G.table)
+        assert isinstance(G.dom, Mapping) and "dom" in vars(G)
+        assert not {"ran", "inverse", "unit_arrow", "compose_table"} & set(vars(G))
         T = G.table
         assert T is G.table
         pos = {g: i for i, g in enumerate(G.arrows)}
@@ -441,3 +463,145 @@ def test_validate_memory_stays_within_the_product_table_scale():
     finally:
         tracemalloc.stop()
     assert peak <= 1 << 20
+
+
+# -- the builders against their dict definitions ------------------------------
+# Each reference is the dict walk the builder is defined by; the dict
+# constructor resolves it into index tables, and both must agree.
+
+
+def ref_reduction(G, A):
+    A = frozenset(A)
+    keep = {g for g in G.arrows if G.dom[g] in A and G.ran[g] in A}
+    return FiniteGroupoid(
+        units=tuple(x for x in G.units if x in A),
+        dom={g: G.dom[g] for g in keep},
+        ran={g: G.ran[g] for g in keep},
+        inverse={g: G.inverse[g] for g in keep},
+        unit_arrow={x: G.unit_arrow[x] for x in A},
+        compose={(g, h): k for (g, h), k in G.compose_table.items()
+                 if g in keep and h in keep},
+    )
+
+
+def ref_disjoint_union(pieces):
+    units, dom, ran, inverse, unit_arrow, compose = [], {}, {}, {}, {}, {}
+    offset = 0
+    for G in pieces:
+        remap = {g: offset + i for i, g in enumerate(G.arrows)}
+        units.extend(G.units)
+        for g in G.arrows:
+            dom[remap[g]] = G.dom[g]
+            ran[remap[g]] = G.ran[g]
+            inverse[remap[g]] = remap[G.inverse[g]]
+        for x in G.units:
+            unit_arrow[x] = remap[G.unit_arrow[x]]
+        for (g, h), k in G.compose_table.items():
+            compose[(remap[g], remap[h])] = remap[k]
+        offset += G.n_arrows()
+    return FiniteGroupoid(units, dom, ran, inverse, unit_arrow, compose)
+
+
+def ref_direct_product(A, B):
+    aidx = {g: i for i, g in enumerate(A.arrows)}
+    bidx = {h: i for i, h in enumerate(B.arrows)}
+
+    def pid(g, h):
+        return aidx[g] * B.n_arrows() + bidx[h]
+
+    units = tuple((x, y) for x in A.units for y in B.units)
+    pairs = list(enumerate(itertools.product(A.arrows, B.arrows)))
+    return FiniteGroupoid(
+        units, {a: (A.dom[g], B.dom[h]) for a, (g, h) in pairs},
+        {a: (A.ran[g], B.ran[h]) for a, (g, h) in pairs},
+        {a: pid(A.inverse[g], B.inverse[h]) for a, (g, h) in pairs},
+        {(x, y): pid(A.unit_arrow[x], B.unit_arrow[y]) for (x, y) in units},
+        {(pid(g1, g2), pid(h1, h2)): pid(k1, k2) for (g1, h1), k1 in A.compose_table.items()
+         for (g2, h2), k2 in B.compose_table.items()})
+
+
+def ref_relabel_units(G, mapping):
+    return FiniteGroupoid(
+        units=tuple(mapping[x] for x in G.units),
+        dom={g: mapping[G.dom[g]] for g in G.arrows},
+        ran={g: mapping[G.ran[g]] for g in G.arrows},
+        inverse=G.inverse,
+        unit_arrow={mapping[x]: a for x, a in G.unit_arrow.items()},
+        compose=G.compose_table,
+    )
+
+
+def ref_permute_arrow_ids(G, perm):
+    return FiniteGroupoid(
+        units=G.units,
+        dom={perm[g]: G.dom[g] for g in G.arrows},
+        ran={perm[g]: G.ran[g] for g in G.arrows},
+        inverse={perm[g]: perm[gi] for g, gi in G.inverse.items()},
+        unit_arrow={x: perm[a] for x, a in G.unit_arrow.items()},
+        compose={(perm[g], perm[h]): perm[k] for (g, h), k in G.compose_table.items()},
+    )
+
+
+def ref_action_groupoid(units, group, action):
+    uidx = {x: i for i, x in enumerate(units)}
+    gidx = {g: i for i, g in enumerate(group.elements)}
+
+    def aid(x, g):
+        return uidx[x] * len(group) + gidx[g]
+
+    dom, ran, inverse, compose = {}, {}, {}, {}
+    for x in units:
+        for g in group.elements:
+            a, y = aid(x, g), action[(x, group.inv(g))]
+            ran[a], dom[a], inverse[a] = x, y, aid(y, group.inv(g))
+            for h in group.elements:
+                compose[(a, aid(y, h))] = aid(x, group.mul(h, g))
+    return FiniteGroupoid(units, dom, ran, inverse,
+                          {x: aid(x, group.identity) for x in units}, compose)
+
+
+def tables(G):
+    """Units, arrows and every view in its item order."""
+    return (G.units, G.arrows, list(G.dom.items()), list(G.ran.items()),
+            list(G.inverse.items()), list(G.unit_arrow.items()),
+            list(G.compose_table.items()))
+
+
+def _random_action(rng, non_abelian):
+    """A right action: S3 permuting three points (x.g = g^-1(x)) beside two
+    fixed points, or Z_k turning orbits Z_m (m | k) and fixing points."""
+    if non_abelian:
+        S3 = symmetric_group_3()
+        return S3, {(x, g): (g.index(x) if x in (0, 1, 2) else x)
+                    for x in (0, 1, 2, "a", "b") for g in S3.elements}
+    k = int(rng.integers(1, 7))
+    sizes = rng.choice([m for m in range(1, k + 1) if k % m == 0], size=int(rng.integers(1, 4)))
+    Zk = FiniteGroup.cyclic(k)
+    return Zk, {((i, r), g): (i, (r + g) % m) for i, m in enumerate(sizes.tolist())
+                for r in range(m) for g in Zk.elements}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_every_builder_gives_the_tables_of_its_dict_definition(seed, non_abelian):
+    rng = rng_from_seed(seed)
+    G = (direct_product(pair_groupoid(["1", "2", "3"]), group_groupoid(symmetric_group_3()))
+         if non_abelian else random_groupoid(rng, max_arrows=40))
+    H = random_groupoid(rng, max_units=3, max_arrows=8)
+    H = relabel_units(H, {x: ("h", x) for x in H.units})
+    A = random_subset(rng, G, nonempty=False)
+    pieces = [G, FiniteGroupoid((), {}, {}, {}, {}, {}), H]
+    mapping = dict(zip(G.units, (f"n{i}" for i in rng.permutation(G.n_units()))))
+    perm = dict(zip(G.arrows, rng.choice(10 * G.n_arrows(), G.n_arrows(), replace=False).tolist()))
+    cases = [(reduction(G, A), ref_reduction(G, A)),
+             (disjoint_union(pieces), ref_disjoint_union(pieces)),
+             (direct_product(H, G), ref_direct_product(H, G)),
+             (direct_product(G, H), ref_direct_product(G, H)),
+             (relabel_units(G, mapping), ref_relabel_units(G, mapping)),
+             (permute_arrow_ids(G, perm), ref_permute_arrow_ids(G, perm))]
+    group, action = _random_action(rng, non_abelian)
+    units = tuple(dict.fromkeys(x for x, _ in action))
+    cases.append((action_groupoid(units, group, action), ref_action_groupoid(units, group, action)))
+    for built, reference in cases:
+        assert tables(built) == tables(reference)
+        assert validate(built).ok
