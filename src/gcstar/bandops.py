@@ -21,6 +21,7 @@ homomorphism at both ends.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -341,6 +342,16 @@ def _is_hermitian_symbol(sym):
     return all(table.get(-k, 0j) == np.conj(c) for k, c in sym.coefficients)
 
 
+@functools.lru_cache(maxsize=64)
+def _unit_circle_wave(grid, k):
+    """exp(i k theta) on the uniform grid of ``grid`` angles in [0, 2 pi);
+    read-only, computed once per (grid, k)."""
+    theta = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    wave = np.exp(1j * k * theta)
+    wave.flags.writeable = False
+    return wave
+
+
 def symbol_invertible(sym, grid=DEFAULT_GRID, tol=DEFAULT_SYMBOL_TOL):
     """Certified invertibility of the Laurent operator with this symbol.
 
@@ -358,8 +369,9 @@ def symbol_invertible(sym, grid=DEFAULT_GRID, tol=DEFAULT_SYMBOL_TOL):
     degree = max((abs(k) for k, _ in sym.coefficients), default=0)
     if grid < 4 * (2 * degree + 1):
         raise InputError("grid is too coarse for the symbol degree")
-    theta = np.linspace(0.0, 2.0 * np.pi, int(grid), endpoint=False)
-    values = sym(theta)
+    values = np.zeros(int(grid), dtype=complex)
+    for k, c in sym.coefficients:  # the sum of LaurentSymbol.__call__, term by term
+        values += c * _unit_circle_wave(int(grid), k)
     moduli = np.abs(values)
     min_modulus = float(moduli.min()) if moduli.size else 0.0
     margin = min_modulus - sym.lipschitz_bound() * np.pi / grid

@@ -13,7 +13,8 @@ on the algebra.
 
 A function is one complex vector over the arrow positions of ``G.table``,
 so the involution gathers through ``inverse``, and convolution and the
-regular representations gather through ``product``.
+regular representations read the composable pairs ``(left, right,
+composite)``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import InputError
-from .groupoid import orbits
+from .groupoid import orbit_bases
 
 
 class ArrowFunction:
@@ -112,13 +113,13 @@ def convolve(f, g):
     """Convolution product with counting measure on the fibers."""
     f._same_parent(g)
     # x = z y for z with dom(z) = ran(y); then x y^{-1} = z.  Terms run y
-    # outer, z inner, over the supports in arrow order; each x sums its
-    # terms in that order, the real part in bin 2x and the imaginary in 2x + 1.
-    zs, ys = np.flatnonzero(f.vec), np.flatnonzero(g.vec)
-    products = f.parent.table.product[zs, ys[:, None]]
-    y, z = np.nonzero(products >= 0)
-    terms = _product(f.vec[zs[z]], g.vec[ys[y]]).view(float)
-    bins = (2 * products[y, z][:, None] + [0, 1]).ravel()
+    # outer, z inner, over the supports in arrow order (the order of
+    # pairs_by_right); each x sums its terms in that order, the real part in
+    # bin 2x and the imaginary in 2x + 1.
+    z, y, x = f.parent.table.pairs_by_right
+    live = (f.vec[z] != 0) & (g.vec[y] != 0)
+    terms = _product(f.vec[z[live]], g.vec[y[live]]).view(float)
+    bins = (2 * x[live][:, None] + [0, 1]).ravel()
     return ArrowFunction.from_vector(f.parent,
                                      np.bincount(bins, terms, 2 * len(f.vec)).view(complex))
 
@@ -144,7 +145,13 @@ class RepMatrix:
     matrix: np.ndarray
 
     def norm(self):
-        return float(np.linalg.norm(self.matrix, 2)) if self.matrix.size else 0.0
+        return operator_norm(self.matrix)
+
+
+def operator_norm(M):
+    """The largest singular value of M, 0 for an empty M: what
+    ``np.linalg.norm(M, 2)`` computes, without its wrapper."""
+    return float(np.linalg.svd(M, compute_uv=False).max()) if M.size else 0.0
 
 
 def regular_rep(G, x, f):
@@ -173,11 +180,11 @@ def _left_translates(T, vec, basis):
     """Left convolution by ``vec`` on the span of ``basis``: ascending arrow
     positions that make up whole fibers."""
     # f(g y^{-1}) with g = z y: cell (z y, y) gets f(z); z y = z' y forces z = z'
-    zs = np.flatnonzero(vec)
-    products = T.product[zs[:, None], basis]
-    z, y = np.nonzero(products >= 0)
+    at = np.full(len(T.arrows), -1)
+    at[basis] = np.arange(len(basis))
+    live = (at[T.right] >= 0) & (vec[T.left] != 0)
     M = np.zeros((len(basis), len(basis)), dtype=complex)
-    M[np.searchsorted(basis, products[z, y]), y] += vec[zs[z]]
+    M[at[T.composite[live]], at[T.right[live]]] += vec[T.left[live]]
     return M
 
 
@@ -185,10 +192,11 @@ def reduced_norm(G, f):
     """sup over units of the operator norm of the regular representation.
 
     Regular representations at units of one orbit are unitarily equivalent,
-    so one unit per orbit, the first in unit order, is visited.
+    so one unit per orbit, its base unit, is visited.
     """
-    return max((regular_rep(G, min(orb, key=G.units.index), f).norm() for orb in orbits(G)),
-               default=0.0)
+    T = G.table
+    return max((operator_norm(_left_translates(T, f.vec, np.flatnonzero(T.dom == x)))
+                for x in orbit_bases(G)), default=0.0)
 
 
 def unit_projection(G, A):

@@ -215,6 +215,11 @@ class FiniteGroupoid:
             groups.setdefault(uf.find(x), []).append(x)
         return tuple(frozenset(v) for v in groups.values())
 
+    @functools.cached_property
+    def _orbit_bases(self):
+        index = {x: i for i, x in enumerate(self.units)}
+        return tuple(min(map(index.__getitem__, orb)) for orb in self._orbits)
+
     # -- basic queries ----------------------------------------------------
 
     def n_units(self):
@@ -285,6 +290,16 @@ class ArrowTable:
         product[self.left, self.right] = self.composite
         product.flags.writeable = False
         return product
+
+    @functools.cached_property
+    def pairs_by_right(self):
+        """``(left, right, composite)`` sorted by ``right``, then ``left``;
+        read-only, built on first use."""
+        order = np.lexsort((self.left, self.right))
+        pairs = tuple(table[order] for table in (self.left, self.right, self.composite))
+        for table in pairs:
+            table.flags.writeable = False
+        return pairs
 
     def positions(self, ids):
         """Positions of the arrow ids ``ids``, as an int array."""
@@ -478,6 +493,12 @@ def orbits(G):
     Computed once per groupoid.
     """
     return G._orbits
+
+
+def orbit_bases(G):
+    """The unit index of each orbit's first unit in unit order (its base
+    unit), listed as :func:`orbits` lists the orbits."""
+    return G._orbit_bases
 
 
 def isotropy(G, x):
@@ -691,6 +712,8 @@ class GroupoidMorphism:
             if self.arrow_map[S.inverse[g]] != T.inverse[k]:
                 bad.append(f"inverse not preserved at arrow {g}")
         for x in S.units:
+            if self.unit_map[x] not in T.units:
+                continue  # reported above
             if self.arrow_map[S.unit_arrow[x]] != T.unit_arrow[self.unit_map[x]]:
                 bad.append(f"unit arrow not preserved at {x!r}")
         for (g, h), k in S.compose_table.items():

@@ -31,9 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convolution import ArrowFunction, reduced_norm
+from .convolution import ArrowFunction, operator_norm, reduced_norm
 from .errors import AmbiguityError, CoverPreconditionError, InputError
-from .groupoid import UnionFind, _check_subset, orbits, reduction, saturation, validate
+from .groupoid import (UnionFind, _check_subset, orbit_bases, reduction, saturation,
+                       validate)
 
 CLUSTER_TOL = 1e-9
 # Gaps between genuinely degenerate eigenvalues sit at the noise floor
@@ -110,7 +111,7 @@ def concrete_algebra(G):
     if not report.ok:
         raise InputError("groupoid fails validation: " + report.lines()[0])
     T = G.table
-    bases = [G.units.index(min(orb, key=G.units.index)) for orb in orbits(G)]
+    bases = list(orbit_bases(G))
     fiber_arrows = np.flatnonzero(np.isin(T.dom, bases))
     fiber_arrows = fiber_arrows[np.argsort(T.dom[fiber_arrows], kind="stable")]
     dim = len(fiber_arrows)
@@ -215,8 +216,7 @@ class BlockDecomposition:
 
     def block_norms(self, f):
         """The operator norm of f's image in each block, by label."""
-        return {label: float(np.linalg.norm(image, 2))
-                for label, image in self.apply(f).items()}
+        return {label: operator_norm(image) for label, image in self.apply(f).items()}
 
     def block_norm(self, f):
         """The C*-norm of f computed in the block model."""
@@ -241,16 +241,22 @@ class BlockDecomposition:
         least-squares solve followed by integer rounding is exact up to
         numerical noise; a large residual raises AmbiguityError.
         """
+        return self.multiplicities_of_columns(np.asarray(trace_vector, dtype=complex)[:, None])[0]
+
+    def multiplicities_of_columns(self, traces):
+        """:meth:`multiplicities_of` for each column of ``traces``, from one
+        least-squares solve; a list in column order."""
         X = self.character_matrix
-        t = np.asarray(trace_vector, dtype=complex)
+        t = np.asarray(traces, dtype=complex)
         m, *_ = np.linalg.lstsq(X, t, rcond=None)
         rounded = np.round(m.real)
-        if (np.max(np.abs(m - rounded)) > MULTIPLICITY_TOL
-                or np.min(rounded) < -0.5
-                or np.linalg.norm(X @ rounded - t) > MULTIPLICITY_TOL * max(1.0, np.linalg.norm(t))):
+        if np.any((np.max(np.abs(m - rounded), axis=0, initial=0.0) > MULTIPLICITY_TOL)
+                  | (np.min(rounded, axis=0, initial=0.0) < -0.5)
+                  | (np.linalg.norm(X @ rounded - t, axis=0)
+                     > MULTIPLICITY_TOL * np.maximum(1.0, np.linalg.norm(t, axis=0)))):
             raise AmbiguityError("representation does not decompose integrally "
                                  "into the computed blocks")
-        return {b.label: int(r) for b, r in zip(self.blocks, rounded)}
+        return [{b.label: int(r) for b, r in zip(self.blocks, column)} for column in rounded.T]
 
     def support_of(self, trace_vector):
         mult = self.multiplicities_of(trace_vector)
@@ -415,16 +421,14 @@ def induction_map(G, U, seed=0, dec=None, dec_red=None):
     GU = dec_red.algebra.groupoid
     inside, outside = prim_partition(dec, U)
 
-    arrows_red = G.table.positions(GU.arrows)
+    # the outside blocks' traces on the reduction's arrows, one column each
+    outside_blocks = [k for k, b in enumerate(dec.blocks) if b.label not in inside]
+    traces = dec.character_matrix[G.table.positions(GU.arrows)][:, outside_blocks]
     candidates = {}  # reduction label -> list of upstairs labels
-    for b in dec.blocks:
-        if b.label in inside:
-            continue
-        trace_vec = np.asarray(b.traces)[arrows_red]
-        mult = dec_red.multiplicities_of(trace_vec)
+    for k, mult in zip(outside_blocks, dec_red.multiplicities_of_columns(traces)):
         for j, m in mult.items():
             if m > 0:
-                candidates.setdefault(j, []).append(b.label)
+                candidates.setdefault(j, []).append(dec.blocks[k].label)
 
     mapping = {}
     for j in dec_red.labels:
@@ -707,8 +711,8 @@ def check_regular_family_faithful(G, seed=0, dec=None):
     """One regular representation per orbit exhausts the spectrum."""
     if dec is None:
         dec = block_decomposition(G, seed=seed)
-    return set().union(*(regular_support(G, min(orb, key=G.units.index), dec)
-                         for orb in orbits(G))) == set(dec.labels)
+    return set().union(*(regular_support(G, G.units[x], dec)
+                         for x in orbit_bases(G))) == set(dec.labels)
 
 
 # -- the linking-space data over a subset ---------------------------------------

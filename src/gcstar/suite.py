@@ -62,20 +62,18 @@ def criterion_algebra_axioms(seed=0, instances=200, tol=1e-9):
             f = random_arrow_function(rng, G)
             g = random_arrow_function(rng, G)
             h = random_arrow_function(rng, G)
-            assoc = convolve(convolve(f, g), h).max_abs_difference(
-                convolve(f, convolve(g, h)))
-            anti = involution(convolve(f, g)).max_abs_difference(
-                convolve(involution(g), involution(f)))
+            fg, fs = convolve(f, g), involution(f)
+            assoc = convolve(fg, h).max_abs_difference(convolve(f, convolve(g, h)))
+            anti = involution(fg).max_abs_difference(convolve(involution(g), fs))
             worst = max(worst, assoc, anti)
             # on l^2(G), the direct sum of the regular representations at all units
             Mf = left_regular_rep(G, f).matrix
             Mg = left_regular_rep(G, g).matrix
-            Mfg = left_regular_rep(G, convolve(f, g)).matrix
-            Mfs = left_regular_rep(G, involution(f)).matrix
+            Mfg = left_regular_rep(G, fg).matrix
+            Mfs = left_regular_rep(G, fs).matrix
             worst = max(worst, float(np.max(np.abs(Mfg - Mf @ Mg))),
                         float(np.max(np.abs(Mfs - Mf.conj().T))))
-            cstar = abs(reduced_norm(G, convolve(involution(f), f))
-                        - reduced_norm(G, f) ** 2)
+            cstar = abs(reduced_norm(G, convolve(fs, f)) - reduced_norm(G, f) ** 2)
             worst = max(worst, cstar)
         return worst < tol, f"{instances} groupoids, worst residual {worst:.2e}"
 

@@ -503,3 +503,18 @@ def test_diagonal_normalization_drops_redundant_core():
     A = BandOperator({0: Diagonal(1.0, 2.0, ((-3, 1.0), (4, 2.0), (0, 9.0)))})
     d = A.diagonals[0]
     assert d.core == ((0, 9 + 0j),)
+
+
+def test_symbol_scan_reads_cached_waves_bit_for_bit():
+    rng = rng_from_seed(53)
+    for grid in (64, 4096):
+        theta = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+        for _ in range(10):
+            sym = limit_operator(random_band_operator(rng), "plus")
+            try:
+                check = symbol_invertible(sym, grid=grid)
+            except GridRefinementNeeded as exc:
+                check = exc
+            assert check.min_modulus == float(np.abs(sym(theta)).min())
+    assert not bandops._unit_circle_wave(64, 1).flags.writeable
+    assert bandops._unit_circle_wave(64, 1) is bandops._unit_circle_wave(64, 1)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from gcstar.convolution import (ArrowFunction, convolve, involution,
-                                reduced_norm, regular_rep,
+                                left_regular_rep, reduced_norm, regular_rep,
                                 scale_by_unit_function, unit_projection)
 from gcstar.errors import InputError
 from gcstar.fixtures import disjoint_pair_z2, pair2, pair3, z2_groupoid
-from gcstar.groupoid import is_invariant, pair_arrow, reduction
+from gcstar.groupoid import is_invariant, orbits, pair_arrow, reduction
 from gcstar.randgen import (random_arrow_function, random_groupoid, random_subset,
                             rng_from_seed)
 
@@ -129,6 +129,45 @@ def test_vector_operations_match_dict_loops_bit_for_bit():
         up = h.extend_to(G)
         assert _bits(up.values) == _bits(h.values)
         assert all(up(a) == 0 for a in set(G.arrows) - set(GU.arrows))
+
+
+def _left_translates_reference(T, vec, basis):
+    """Left convolution by ``vec`` on the span of ``basis``, gathered from the
+    dense n x n product table."""
+    zs = np.flatnonzero(vec)
+    products = T.product[zs[:, None], basis]
+    z, y = np.nonzero(products >= 0)
+    M = np.zeros((len(basis), len(basis)), dtype=complex)
+    M[np.searchsorted(basis, products[z, y]), y] += vec[zs[z]]
+    return M
+
+
+def _dense_sparse_and_extended(rng, G):
+    """A dense function on G, a 60 %-sparse one, and one extended from a
+    reduction of G."""
+    yield random_arrow_function(rng, G)
+    yield random_arrow_function(rng, G, [a for a in G.arrows if rng.random() < 0.6])
+    yield random_arrow_function(rng, reduction(G, random_subset(rng, G))).extend_to(G)
+
+
+def test_regular_representations_match_the_dense_gather_bit_for_bit():
+    rng = rng_from_seed(50)
+    for _ in range(20):
+        G = random_groupoid(rng, max_arrows=40)
+        T = G.table
+        fibers = {x: np.flatnonzero(T.dom == i) for i, x in enumerate(G.units)}
+        for f in _dense_sparse_and_extended(rng, G):
+            everything = np.arange(G.n_arrows())
+            assert (left_regular_rep(G, f).matrix.tobytes()
+                    == _left_translates_reference(T, f.vec, everything).tobytes())
+            for x, fiber in fibers.items():
+                M = _left_translates_reference(T, f.vec, fiber)
+                rep = regular_rep(G, x, f)
+                assert rep.matrix.tobytes() == M.tobytes()
+                assert rep.norm() == float(np.linalg.norm(M, 2))
+            reference = max(float(np.linalg.norm(_left_translates_reference(
+                T, f.vec, fibers[min(orb, key=G.units.index)]), 2)) for orb in orbits(G))
+            assert reduced_norm(G, f) == reference
 
 
 def test_regular_rep_matrix_unit_example():

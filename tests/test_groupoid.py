@@ -258,6 +258,25 @@ def test_morphism_identity_checks_clean():
     assert composed.inverse_morphism().unit_map == phi.unit_map
 
 
+def test_morphism_check_reports_a_unit_outside_the_target():
+    P = pair_groupoid(["1", "2"])
+    phi = GroupoidMorphism(P, P, {"1": "1", "2": "zz"}, {g: g for g in P.arrows})
+    assert "unit '2' maps outside the target units" in phi.check()
+    assert not phi.is_isomorphism()
+
+
+def test_pairs_by_right_sorts_the_composable_pairs_read_only():
+    rng = rng_from_seed(52)
+    for _ in range(10):
+        T = random_groupoid(rng, max_arrows=30).table
+        left, right, composite = T.pairs_by_right
+        assert sorted(zip(T.right.tolist(), T.left.tolist(), T.composite.tolist())) \
+            == list(zip(right.tolist(), left.tolist(), composite.tolist()))
+        assert T.pairs_by_right is T.pairs_by_right
+        assert not any(table.flags.writeable for table in T.pairs_by_right)
+        assert (T.product[left, right] == composite).all()
+
+
 def test_isotropy_groups_satisfy_group_axioms():
     rng = rng_from_seed(45)
     for _ in range(10):

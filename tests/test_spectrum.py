@@ -760,3 +760,19 @@ def test_wedderburn_cluster_ambiguity_is_loud():
     # dimension census catches it instead of reporting a wrong decomposition
     with pytest.raises(AmbiguityError):
         wedderburn(alg, seed=1, cluster_tol=100.0)
+
+
+def test_block_norms_and_batched_multiplicities_match_the_old_definitions():
+    rng = rng_from_seed(51)
+    for _ in range(8):
+        G = random_groupoid(rng, max_arrows=30)
+        dec = block_decomposition(G, seed=5)
+        fs = [random_arrow_function(rng, G),
+              random_arrow_function(rng, G, [a for a in G.arrows if rng.random() < 0.6]),
+              random_arrow_function(rng, reduction(G, random_subset(rng, G))).extend_to(G)]
+        for f in fs:
+            assert dec.block_norms(f) == {label: float(np.linalg.norm(image, 2))
+                                          for label, image in dec.apply(f).items()}
+        traces = dec.character_matrix[:, ::-1]
+        assert (dec.multiplicities_of_columns(traces)
+                == [dec.multiplicities_of(t) for t in traces.T])
