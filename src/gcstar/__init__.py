@@ -10,27 +10,23 @@ from .bandops import (BandOperator, Diagonal, FiniteSectionReport,
                       finite_section_analysis, fredholm_verdict,
                       limit_operator, locality_check, symbol_invertible)
 from .convolution import (ArrowFunction, RepMatrix, convolve, involution,
-                          left_regular_rep, reduced_norm, regular_rep,
-                          scale_by_unit_function, unit_projection)
+                          left_regular_rep, reduced_norm, regular_rep)
 from .errors import (AmbiguityError, CoverPreconditionError,
                      GluingConditionError, GridRefinementNeeded, InputError)
 from .gluing import (GluingFamily, GluingReport, check_weak_gluing,
                      family_from_reductions, glue)
 from .groupoid import (FiniteGroup, FiniteGroupoid, GroupoidMorphism,
                        ValidationReport, action_groupoid, direct_product,
-                       disjoint_union, group_groupoid, is_invariant, isotropy,
-                       orbits, pair_groupoid, reduction, saturation, validate)
-from .isosearch import (find_local_isomorphism, group_isomorphism,
-                        groupoid_isomorphism)
+                       disjoint_union, group_groupoid, isotropy, orbits,
+                       pair_groupoid, reduction, saturation, validate)
+from .isosearch import group_isomorphism, groupoid_isomorphism
 from .models import (GEOMETRIES, ModelOperatorSpec, boundary_symbol,
                      discretize_model, model_stencil)
 from .spectrum import (Block, BlockDecomposition, ConcreteAlgebra,
-                       block_decomposition, check_families,
-                       check_norm_estimates, check_phi_isometry,
-                       check_regular_family_faithful, concrete_algebra,
-                       induce, induction_map, morita_reduction_data,
-                       prim_partition, verify_spectrum_decomposition,
-                       wedderburn)
+                       block_decomposition, check_norm_estimates,
+                       check_phi_isometry, concrete_algebra, induction_map,
+                       morita_reduction_data, prim_partition,
+                       verify_spectrum_decomposition, wedderburn)
 from .suite import run_suite
 
 __version__ = "0.1.0"

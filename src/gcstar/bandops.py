@@ -154,9 +154,6 @@ class BandOperator:
         d = self.diagonals.get(k)
         return 0j if d is None else d.value(n)
 
-    def entry(self, i, j):
-        return self.coefficient(i - j, i)
-
     def core_window(self):
         """Hull [lo, hi] of the core overrides (row indices); (0, -1) if none."""
         idx = [i for d in self.diagonals.values() for i, _ in d.core]
@@ -282,10 +279,6 @@ class LaurentSymbol:
                               for k, v in dict(self.coefficients).items()
                               if v != 0))
         object.__setattr__(self, "coefficients", coeffs)
-
-    @classmethod
-    def from_dict(cls, table):
-        return cls(tuple(table.items()))
 
     def coefficient(self, k):
         return dict(self.coefficients).get(k, 0j)

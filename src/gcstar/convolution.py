@@ -50,10 +50,6 @@ class ArrowFunction:
         return f
 
     @classmethod
-    def delta(cls, parent, arrow, value=1.0):
-        return cls(parent, {arrow: value})
-
-    @classmethod
     def zero(cls, parent):
         return cls(parent)
 
@@ -85,9 +81,6 @@ class ArrowFunction:
     def star(self):
         """The involution f*(g) = conj(f(g^{-1}))."""
         return ArrowFunction.from_vector(self.parent, np.conj(self.vec[self.parent.table.inverse]))
-
-    def support(self):
-        return frozenset(self.parent.arrows[i] for i in np.flatnonzero(self.vec))
 
     def extend_to(self, parent):
         """The same function read over a larger groupoid containing these arrows."""
@@ -198,23 +191,3 @@ def reduced_norm(G, f):
     return max((operator_norm(_left_translates(T, f.vec, np.flatnonzero(T.dom == x)))
                 for x in orbit_bases(G)), default=0.0)
 
-
-def unit_projection(G, A):
-    """The corner projection: the sum of unit deltas over A.
-
-    Convolving by it on both sides cuts a function down to the reduction
-    over A.
-    """
-    stray = set(A) - set(G.units)
-    if stray:
-        raise InputError(f"subset members {sorted(map(str, stray))} are not units")
-    vec = np.zeros(G.n_arrows(), dtype=complex)
-    vec[G.table.unit[[x in A for x in G.units]]] = 1.0
-    return ArrowFunction.from_vector(G, vec)
-
-
-def scale_by_unit_function(phi, f):
-    """The pointwise product (phi o ran) . f for phi a function on units."""
-    G = f.parent
-    weights = np.array([phi.get(x, 0j) for x in G.units], dtype=complex)
-    return ArrowFunction.from_vector(G, _product(weights[G.table.ran], f.vec))

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from .bandops import BandOperator
 from .gluing import GluingFamily, family_from_reductions
-from .groupoid import (FiniteGroup, FiniteGroupoid, GroupoidMorphism,
-                       action_groupoid, disjoint_union, group_groupoid,
-                       pair_groupoid, reduction)
+from .groupoid import (FiniteGroup, FiniteGroupoid, action_groupoid,
+                       disjoint_union, group_groupoid, pair_groupoid,
+                       reduction)
 from .models import ModelOperatorSpec
 
 
@@ -68,12 +68,10 @@ def faulty_family():
     base = nested_family()
     overlap = reduction(base.pieces[0], {"2", "3"})
     swap = {"2": "3", "3": "2"}
-    arrow_map = {g: overlap.hom(swap[overlap.dom[g]], swap[overlap.ran[g]])[0]
-                 for g in overlap.arrows}
-    phi = GroupoidMorphism(overlap, overlap, swap, arrow_map)
-    isos = dict(base.isos)
-    isos[(0, 1)] = phi
-    return GluingFamily(base.cover, base.pieces, isos)
+    maps = {pair: phi.arrow_map for pair, phi in base.isos.items()}
+    maps[(0, 1)] = {g: overlap.hom(swap[overlap.dom[g]], swap[overlap.ran[g]])[0]
+                    for g in overlap.arrows}
+    return GluingFamily(base.cover, base.pieces, maps)
 
 
 def unliftable_family():
@@ -102,11 +100,10 @@ def bmodel_family():
     src = reduction(collar, {"i1", "i2"})
     dst = reduction(interior, {"i1", "i2"})
     arrow_map = {g: dst.hom(src.dom[g], src.ran[g])[0] for g in src.arrows}
-    phi01 = GroupoidMorphism(src, dst, {"i1": "i1", "i2": "i2"}, arrow_map)
     return GluingFamily(
         [{"b", "i1", "i2"}, {"i1", "i2", "i3"}],
         [collar, interior],
-        {(0, 1): phi01, (1, 0): phi01.inverse_morphism()},
+        {(0, 1): arrow_map, (1, 0): {img: g for g, img in arrow_map.items()}},
     )
 
 

@@ -35,14 +35,15 @@ from .groupoid import (FiniteGroupoid, GroupoidMorphism, UnionFind, reduction,
 class GluingFamily:
     """Cover subsets, one groupoid per subset, and overlap isomorphisms.
 
-    ``isos[(i, j)]`` is the isomorphism from the overlap reduction of piece
-    i onto the overlap reduction of piece j.  Entries are required for every
-    ordered pair with nonempty overlap (both directions; they are checked
-    against each other, not derived).  Identity self-isomorphisms are
-    implicit.
+    ``maps[(i, j)]`` sends the arrow ids of the overlap reduction of piece i
+    to those of the overlap reduction of piece j.  Entries are required for
+    every ordered pair with nonempty overlap (both directions; they are
+    checked against each other, not derived).  Once the pieces validate,
+    each map becomes the isomorphism ``isos[(i, j)]``, its unit map read off
+    the unit arrows.  Identity self-isomorphisms are implicit.
     """
 
-    def __init__(self, cover, pieces, isos):
+    def __init__(self, cover, pieces, maps):
         self.cover = tuple(frozenset(U) for U in cover)
         self.pieces = tuple(pieces)
         if len(self.cover) != len(self.pieces):
@@ -60,24 +61,15 @@ class GluingFamily:
                          for i, j in itertools.product(range(n), repeat=2) if i != j}
 
         self.isos = {}
-        given = dict(isos)
+        given = dict(maps)
         for (i, j), overlap in self.overlaps.items():
             if not overlap:
                 continue
             if (i, j) not in given:
                 raise InputError(f"missing overlap isomorphism for pieces ({i},{j})")
-            phi = given.pop((i, j))
-            src = reduction(self.pieces[i], overlap)
-            dst = reduction(self.pieces[j], overlap)
-            if set(phi.source.arrows) != set(src.arrows) \
-                    or set(phi.target.arrows) != set(dst.arrows):
-                raise InputError(
-                    f"isomorphism ({i},{j}) does not match the stated overlap "
-                    f"reductions")
-            checked = GroupoidMorphism(src, dst, phi.unit_map, phi.arrow_map)
-            if not checked.is_isomorphism():
-                raise InputError(f"overlap map ({i},{j}) is not an isomorphism")
-            self.isos[(i, j)] = checked
+            self.isos[(i, j)] = _overlap_isomorphism(
+                i, j, reduction(self.pieces[i], overlap), reduction(self.pieces[j], overlap),
+                given.pop((i, j)))
         stray = {k for k in given if k[0] != k[1]}
         if stray:
             raise InputError(f"isomorphisms given for non-overlapping pairs {sorted(stray)}")
@@ -89,18 +81,23 @@ class GluingFamily:
         return self.isos[(i, j)]
 
 
+def _overlap_isomorphism(i, j, src, dst, arrow_map):
+    """The isomorphism src -> dst with this arrow map, each unit sent where
+    its unit arrow goes; the morphism check refuses any other map."""
+    unit_map = {x: dst.dom.get(arrow_map.get(u)) for x, u in src.unit_arrow.items()}
+    phi = GroupoidMorphism(src, dst, unit_map, arrow_map)
+    if not phi.is_isomorphism():
+        raise InputError(f"overlap map ({i},{j}) is not an isomorphism")
+    return phi
+
+
 def family_from_reductions(G, cover):
     """The tautological family: reductions of one groupoid, identity overlaps."""
     cover = [frozenset(U) for U in cover]
-    pieces = [reduction(G, U) for U in cover]
-    isos = {}
-    for i, Ui in enumerate(cover):
-        for j, Uj in enumerate(cover):
-            if i == j or not (Ui & Uj):
-                continue
-            overlap = reduction(G, Ui & Uj)
-            isos[(i, j)] = GroupoidMorphism.identity(overlap)
-    return GluingFamily(cover, pieces, isos)
+    maps = {(i, j): {g: g for g in reduction(G, Ui & Uj).arrows}
+            for i, Ui in enumerate(cover) for j, Uj in enumerate(cover)
+            if i != j and Ui & Uj}
+    return GluingFamily(cover, [reduction(G, U) for U in cover], maps)
 
 
 @dataclass(frozen=True)

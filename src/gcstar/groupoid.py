@@ -206,19 +206,23 @@ class FiniteGroupoid:
         return {x: tuple(v) for x, v in fibers.items()}
 
     @functools.cached_property
+    def _base(self):
+        """Per unit index, the index of its orbit's first unit.  The orbit of
+        x is ran(d^-1(x)): g: x -> y and h: x -> z give h g^-1: y -> z."""
+        base = np.arange(len(self.units))
+        np.minimum.at(base, self._table.dom, self._table.ran)
+        return base
+
+    @functools.cached_property
     def _orbits(self):
-        uf = UnionFind(self.units)
-        for x, y in zip(_pick(self.units, self._table.dom), _pick(self.units, self._table.ran)):
-            uf.union(x, y)
-        groups = {}  # listed by their first unit
-        for x in self.units:
-            groups.setdefault(uf.find(x), []).append(x)
-        return tuple(frozenset(v) for v in groups.values())
+        groups = {}  # a base is its orbit's first unit, so they arrive in order
+        for x, b in zip(self.units, self._base.tolist()):
+            groups.setdefault(b, []).append(x)
+        return tuple(map(frozenset, groups.values()))
 
     @functools.cached_property
     def _orbit_bases(self):
-        index = {x: i for i, x in enumerate(self.units)}
-        return tuple(min(map(index.__getitem__, orb)) for orb in self._orbits)
+        return tuple(np.flatnonzero(self._base == np.arange(len(self.units))).tolist())
 
     # -- basic queries ----------------------------------------------------
 
@@ -242,14 +246,8 @@ class FiniteGroupoid:
         except KeyError:
             raise InputError(f"arrows {g} and {h} are not composable") from None
 
-    def try_compose(self, g, h):
-        return self.compose_table.get((g, h))
-
     def inv(self, g):
         return self.inverse[g]
-
-    def is_unit_arrow(self, g):
-        return self.unit_arrow.get(self.dom[g]) == g
 
     def __repr__(self):
         return f"FiniteGroupoid({self.n_units()} units, {self.n_arrows()} arrows)"
@@ -463,11 +461,6 @@ def saturation(G, U):
     return frozenset(itertools.compress(G.units, reached))
 
 
-def is_invariant(G, U):
-    U = _check_subset(G, U)
-    return saturation(G, U) == U
-
-
 class UnionFind:
     """Disjoint sets with path halving; ``union(a, b)`` puts a's root under b's."""
 
@@ -488,10 +481,9 @@ class UnionFind:
 
 
 def orbits(G):
-    """Partition of the units into reachability classes, in unit order.
-
-    Computed once per groupoid.
-    """
+    """Partition of the units into reachability classes, listed by their
+    first unit in unit order.  Computed once per groupoid, from one pass over
+    the arrows; the groupoid must satisfy the axioms of :func:`validate`."""
     return G._orbits
 
 
@@ -577,14 +569,6 @@ def pair_groupoid(units):
     """The pair groupoid: exactly one arrow (a, b) from b to a, for all a, b."""
     units = tuple(units)  # arrow i*n + j is (units[i], units[j]) : units[j] -> units[i]
     return from_index_tables(units, np.arange(len(units) ** 2), *pair_tables(len(units)))
-
-
-def pair_arrow(G, a, b):
-    """The unique arrow b -> a of a pair-groupoid-like hom set."""
-    hom = G.hom(b, a)
-    if len(hom) != 1:
-        raise InputError(f"hom({b!r},{a!r}) is not a singleton")
-    return hom[0]
 
 
 def group_groupoid(group, unit="*"):
@@ -728,25 +712,6 @@ class GroupoidMorphism:
         return (not self.check()
                 and len(set(units)) == len(units) == len(self.target.units)
                 and len(set(arrows)) == len(arrows) == len(self.target.arrows))
-
-    def inverse_morphism(self):
-        if not self.is_isomorphism():
-            raise InputError("only isomorphisms can be inverted")
-        return GroupoidMorphism(
-            self.target, self.source,
-            {y: x for x, y in self.unit_map.items()},
-            {k: g for g, k in self.arrow_map.items()},
-        )
-
-    def then(self, other):
-        """The composite ``other after self`` (self first)."""
-        if other.source is not self.target and other.source.arrows != self.target.arrows:
-            raise InputError("morphisms are not composable")
-        return GroupoidMorphism(
-            self.source, other.target,
-            {x: other.unit_map[y] for x, y in self.unit_map.items()},
-            {g: other.arrow_map[k] for g, k in self.arrow_map.items()},
-        )
 
     def __repr__(self):
         return (f"GroupoidMorphism({self.source!r} -> {self.target!r})")

@@ -3,22 +3,19 @@
 Over each orbit a finite groupoid splits into a pair-groupoid part and the
 isotropy group at a base unit: fixing connecting arrows tau_x from the base
 to every unit of the orbit, the arrow g : x -> y factors as
-tau_y * gamma * tau_x^{-1} with gamma in the isotropy.  Two reductions are
+tau_y * gamma * tau_x^{-1} with gamma in the isotropy.  Two groupoids are
 therefore isomorphic iff their orbits can be matched with equal sizes and
 isomorphic isotropy groups, and an explicit isomorphism is assembled from
 the transversals and a group isomorphism found by backtracking.
 
-Searches are deterministic: subsets of the unit space are enumerated
-largest-first and within each size in the order induced by the unit tuple;
-candidate matches are tried in that same order.
+The search is deterministic: the components of each groupoid are taken in
+orbit order, and candidate matches are tried in that order.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import InputError
-from .groupoid import GroupoidMorphism, isotropy, orbits, reduction
+from .groupoid import GroupoidMorphism, isotropy, orbits
 
 
 def group_isomorphism(A, B):
@@ -162,48 +159,3 @@ def groupoid_isomorphism(G, H):
         raise AssertionError("assembled morphism failed replay check")
     return phi
 
-
-def _subsets_with(units, size, required=None):
-    """Size-``size`` subsets of the unit tuple, in unit order."""
-    if required is None:
-        yield from (frozenset(c) for c in itertools.combinations(units, size))
-        return
-    rest = tuple(x for x in units if x != required)
-    for comb in itertools.combinations(rest, size - 1):
-        yield frozenset((required,) + comb)
-
-
-def find_local_isomorphism(G, p, H):
-    """Search for (U, phi, V) with p in U and phi : G|_U -> H|_V an isomorphism.
-
-    Candidate subsets U are enumerated largest-first (unit order within each
-    size); for each U the target subsets V of the same size are filtered by
-    component signatures before the full search runs.  Returns None when no
-    local isomorphism exists.
-    """
-    if p not in G.units:
-        raise InputError(f"{p!r} is not a unit")
-
-    h_index = {}
-
-    def h_candidates(size):
-        if size not in h_index:
-            buckets = {}
-            for V in _subsets_with(H.units, size):
-                HV = reduction(H, V)
-                sig = tuple(sorted(_component_signature(c) for c in _components(HV)))
-                buckets.setdefault(sig, []).append((V, HV))
-            h_index[size] = buckets
-        return h_index[size]
-
-    for size in range(len(G.units), 0, -1):
-        if size > len(H.units):
-            continue
-        for U in _subsets_with(G.units, size, required=p):
-            GU = reduction(G, U)
-            sig = tuple(sorted(_component_signature(c) for c in _components(GU)))
-            for V, HV in h_candidates(size).get(sig, ()):
-                phi = groupoid_isomorphism(GU, HV)
-                if phi is not None:
-                    return U, phi, V
-    return None

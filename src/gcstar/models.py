@@ -32,8 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bandops import BandOperator, Diagonal, LaurentSymbol
 from .errors import InputError
 
@@ -73,15 +71,6 @@ class ModelOperatorSpec:
             raise InputError("grid step must be positive")
         if not self.coefficients:
             raise InputError("at least one coefficient is required")
-
-
-def boundary_substitution(spec):
-    """The boundary-flattening map t(x), as a callable."""
-    if spec.geometry == "b" or (spec.geometry == "cusp" and spec.r == 1):
-        return lambda x: -np.log(x)
-    if spec.geometry == "cusp":
-        return lambda x: x ** (1.0 - spec.r) / (spec.r - 1.0)
-    return lambda x: 1.0 / x
 
 
 def model_stencil(coefficients, h):

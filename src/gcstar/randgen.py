@@ -150,10 +150,3 @@ def random_selfadjoint_tridiagonal(rng, margin=0.25, rel_margin=0.08,
               "sided": (distances[0] > 0, distances[1] > 0)}
     return BandOperator({0: diag, 1: upper, -1: lower}), fredholm, oracle
 
-
-def random_core_perturbation(rng, A, width=5, scale=3.0):
-    """A finite-support perturbation of A (limits untouched)."""
-    bump = {}
-    for k in list(A.diagonals) or [0]:
-        bump[k] = Diagonal(0.0, 0.0, tuple(random_core(rng, width, scale).items()))
-    return A + BandOperator(bump)

@@ -1,9 +1,10 @@
-"""JSON file formats for groupoids, arrow functions, band operators, families.
+"""JSON file formats for groupoids, band operators, model specs and gluing
+families: what the command line reads and writes.
 
 All formats are plain JSON.  Units are strings in files; arrow ids are JSON
 integers (a bool or a float is an input error), and no arrow record, table
-entry or arrow-function id may repeat.  Complex numbers are encoded as [real, imag] pairs (bare reals are
-accepted when loading).
+entry or overlap-map entry may repeat.  Complex numbers are encoded as
+[real, imag] pairs (bare reals are accepted when loading).
 """
 
 from __future__ import annotations
@@ -12,16 +13,10 @@ import json
 import os
 
 from .bandops import BandOperator, Diagonal
-from .convolution import ArrowFunction
 from .errors import InputError
 from .gluing import GluingFamily
-from .groupoid import FiniteGroupoid, GroupoidMorphism, reduction
+from .groupoid import FiniteGroupoid
 from .models import ModelOperatorSpec
-
-
-def _complex_out(z):
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def _complex_in(v):
@@ -108,10 +103,6 @@ def groupoid_from_dict(data):
     return FiniteGroupoid(units, dom, ran, inverse, unit_arrow, compose)
 
 
-def save_groupoid(path, G):
-    dump_json(path, groupoid_to_dict(G))
-
-
 def load_groupoid(path):
     return groupoid_from_dict(load_json(path))
 
@@ -126,38 +117,7 @@ def load_cover(path):
     return [frozenset(str(x) for x in c) for c in data]
 
 
-# -- arrow functions -------------------------------------------------------------
-
-
-def save_arrow_function(path, f):
-    dump_json(path, [[g, v.real, v.imag] for g, v in sorted(f.values.items())])
-
-
-def load_arrow_function(path, G):
-    data = load_json(path)
-    try:
-        values = _unique(((_arrow_id(g), complex(float(re), float(im))) for g, re, im in data),
-                         "arrow-function id")
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed arrow function document: {exc}") from None
-    return ArrowFunction(G, values)
-
-
 # -- band operators ---------------------------------------------------------------
-
-
-def band_operator_to_dict(A):
-    return {
-        "bandwidth": A.bandwidth,
-        "diagonals": {
-            str(k): {
-                "limit_minus": _complex_out(d.limit_minus),
-                "limit_plus": _complex_out(d.limit_plus),
-                "core": [[i, v.real, v.imag] for i, v in d.core],
-            }
-            for k, d in sorted(A.diagonals.items())
-        },
-    }
 
 
 def band_operator_from_dict(data):
@@ -174,10 +134,6 @@ def band_operator_from_dict(data):
     if "bandwidth" in data and int(data["bandwidth"]) != A.bandwidth:
         raise InputError("stated bandwidth disagrees with the diagonals")
     return A
-
-
-def save_band_operator(path, A):
-    dump_json(path, band_operator_to_dict(A))
 
 
 def load_band_operator(path):
@@ -207,16 +163,6 @@ def load_model_spec(path):
 # -- gluing families ------------------------------------------------------------------
 
 
-def gluing_family_to_dict(family):
-    return {
-        "cover": [sorted(str(x) for x in U) for U in family.cover],
-        "pieces": [groupoid_to_dict(piece) for piece in family.pieces],
-        "isos": [{"src": i, "dst": j,
-                  "map": sorted([g, img] for g, img in phi.arrow_map.items())}
-                 for (i, j), phi in sorted(family.isos.items())],
-    }
-
-
 def gluing_family_from_dict(data, base_dir="."):
     try:
         cover = [frozenset(str(x) for x in U) for U in data["cover"]]
@@ -226,29 +172,13 @@ def gluing_family_from_dict(data, base_dir="."):
                 pieces.append(load_groupoid(os.path.join(base_dir, rec)))
             else:
                 pieces.append(groupoid_from_dict(rec))
-        isos = {}
-        for rec in data["isos"]:
-            i, j = int(rec["src"]), int(rec["dst"])
-            arrow_map = _unique(((_arrow_id(g), _arrow_id(img)) for g, img in rec["map"]),
-                                "overlap map entry")
-            overlap = cover[i] & cover[j]
-            src = reduction(pieces[i], overlap)
-            dst = reduction(pieces[j], overlap)
-            unit_map = {}
-            for g, img in arrow_map.items():
-                if src.is_unit_arrow(g):
-                    if img not in dst.dom or not dst.is_unit_arrow(img):
-                        raise InputError(
-                            f"overlap map ({i},{j}) sends the unit arrow {g} "
-                            f"to a non-unit arrow")
-                    unit_map[src.dom[g]] = dst.dom[img]
-            if set(unit_map) != set(src.units):
-                raise InputError(
-                    f"overlap map ({i},{j}) does not cover the overlap units")
-            isos[(i, j)] = GroupoidMorphism(src, dst, unit_map, arrow_map)
+        maps = {(int(rec["src"]), int(rec["dst"])):
+                _unique(((_arrow_id(g), _arrow_id(img)) for g, img in rec["map"]),
+                        "overlap map entry")
+                for rec in data["isos"]}
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed gluing document: {exc}") from None
-    return GluingFamily(cover, pieces, isos)
+    return GluingFamily(cover, pieces, maps)
 
 
 def load_gluing_family(path):

@@ -191,12 +191,6 @@ class BlockDecomposition:
     def labels(self):
         return tuple(b.label for b in self.blocks)
 
-    def block(self, label):
-        for b in self.blocks:
-            if b.label == label:
-                return b
-        raise InputError(f"no block labelled {label!r}")
-
     @functools.cached_property
     def arrow_images(self):
         """Q* A_g Q for every arrow g, one (n_arrows, d, d) stack per block in
@@ -218,10 +212,6 @@ class BlockDecomposition:
         """The operator norm of f's image in each block, by label."""
         return {label: operator_norm(image) for label, image in self.apply(f).items()}
 
-    def block_norm(self, f):
-        """The C*-norm of f computed in the block model."""
-        return max(self.block_norms(f).values(), default=0.0)
-
     @functools.cached_property
     def character_matrix(self):
         """Traces of all blocks on all arrow deltas; rows follow arrow order.
@@ -233,19 +223,16 @@ class BlockDecomposition:
         X.flags.writeable = False
         return X
 
-    def multiplicities_of(self, trace_vector):
-        """Decompose a representation, given its traces on the arrow deltas.
-
-        Returns a dict label -> nonnegative integer multiplicity.  The
-        characters of inequivalent blocks are linearly independent, so a
-        least-squares solve followed by integer rounding is exact up to
-        numerical noise; a large residual raises AmbiguityError.
-        """
-        return self.multiplicities_of_columns(np.asarray(trace_vector, dtype=complex)[:, None])[0]
-
     def multiplicities_of_columns(self, traces):
-        """:meth:`multiplicities_of` for each column of ``traces``, from one
-        least-squares solve; a list in column order."""
+        """Decompose representations, given their traces on the arrow deltas,
+        one per column of ``traces``.
+
+        Returns a list, in column order, of dicts label -> nonnegative
+        integer multiplicity.  The characters of inequivalent blocks are
+        linearly independent, so one least-squares solve followed by integer
+        rounding is exact up to numerical noise; a large residual raises
+        AmbiguityError.
+        """
         X = self.character_matrix
         t = np.asarray(traces, dtype=complex)
         m, *_ = np.linalg.lstsq(X, t, rcond=None)
@@ -257,10 +244,6 @@ class BlockDecomposition:
             raise AmbiguityError("representation does not decompose integrally "
                                  "into the computed blocks")
         return [{b.label: int(r) for b, r in zip(self.blocks, column)} for column in rounded.T]
-
-    def support_of(self, trace_vector):
-        mult = self.multiplicities_of(trace_vector)
-        return frozenset(label for label, m in mult.items() if m > 0)
 
 
 def _cluster_eigenvalues(eigenvalues, tol, gray):
@@ -445,11 +428,6 @@ def induction_map(G, U, seed=0, dec=None, dec_red=None):
         raise AmbiguityError("induced blocks do not exhaust the complement of "
                              "the annihilator; numerical failure upstream")
     return result
-
-
-def induce(G, U, j, seed=0, dec=None, dec_red=None):
-    """The block of the big algebra induced from block j of the reduction."""
-    return induction_map(G, U, seed=seed, dec=dec, dec_red=dec_red).mapping[j]
 
 
 # -- the tensor-model isometry check ------------------------------------------
@@ -642,77 +620,6 @@ def verify_spectrum_decomposition(G, cover, seed=0, dec=None):
         images=tuple(images),
         union_equals_prim=(union == prim_all),
     )
-
-
-# -- families of representations ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FamiliesReport:
-    members: tuple             # (subset, labels, faithful downstairs)
-    induced_supports: tuple    # per member: induced labels upstairs
-    all_faithful_downstairs: bool
-    induced_family_faithful: bool
-    corollary_holds: bool      # faithful pieces over an admissible cover induce a faithful family
-
-    @property
-    def ok(self):
-        return self.corollary_holds
-
-
-def check_families(G, family, seed=0, dec=None):
-    """Faithfulness / exhaustiveness bookkeeping for induced families.
-
-    ``family`` lists pairs (subset U_i, selected block labels of the
-    reduction's algebra).  On a finite unit space closures are trivial, so a
-    family is faithful exactly when it is exhaustive: the supports must
-    exhaust the spectrum.  The report records the downstairs verdicts, the
-    induced supports, and whether the induction corollary (faithful pieces
-    induce a faithful family) held on this instance.
-    """
-    if dec is None:
-        dec = block_decomposition(G, seed=seed)
-    members, induced = [], []
-    union_upstairs = set()
-    for U, labels in family:
-        U = frozenset(U)
-        ind = induction_map(G, U, seed=seed, dec=dec)
-        labels = frozenset(labels)
-        unknown = labels - set(ind.dec_red.labels)
-        if unknown:
-            raise InputError(f"unknown reduction block labels {sorted(unknown)}")
-        faithful = labels == frozenset(ind.dec_red.labels)
-        img = frozenset(ind.mapping[j] for j in labels)
-        union_upstairs |= img
-        members.append((U, labels, faithful))
-        induced.append(img)
-
-    all_faithful = all(m[2] for m in members)
-    induced_faithful = union_upstairs == set(dec.labels)
-
-    # The corollary only promises the implication when the saturations cover.
-    covered = frozenset().union(*(saturation(G, U) for U, _, _ in members)) \
-        if members else frozenset()
-    admissible = set(G.units) <= set(covered)
-    corollary = (not (all_faithful and admissible)) or induced_faithful
-
-    return FamiliesReport(tuple(members), tuple(induced), all_faithful,
-                          induced_faithful, corollary)
-
-
-def regular_support(G, x, dec):
-    """Support (set of block labels) of the regular representation at x."""
-    fiber = np.flatnonzero(G.table.dom == G.units.index(x))
-    # the trace of delta(g) counts the fiber arrows y with g y = y
-    return dec.support_of(np.sum(G.table.product[:, fiber] == fiber, axis=1))
-
-
-def check_regular_family_faithful(G, seed=0, dec=None):
-    """One regular representation per orbit exhausts the spectrum."""
-    if dec is None:
-        dec = block_decomposition(G, seed=seed)
-    return set().union(*(regular_support(G, G.units[x], dec)
-                         for x in orbit_bases(G))) == set(dec.labels)
 
 
 # -- the linking-space data over a subset ---------------------------------------

@@ -110,6 +110,29 @@ def test_glue_refuses_a_malformed_piece_as_input(tmp_path, capsys):
     assert "piece 0 fails validation: [compose-domain]" in capsys.readouterr().err
 
 
+def test_glue_reports_a_wrong_product_in_a_piece_before_reducing_it(tmp_path, capsys):
+    # the unit product 4*4 inside the overlap redirected to arrow 0: the
+    # piece's own validation speaks first, not the overlap reduction
+    data = json.loads((FIXTURES / "gluing_nested.json").read_text())
+    compose = data["pieces"][0]["compose"]
+    data["pieces"][0]["compose"] = [[4, 4, 0] if e[:2] == [4, 4] else e for e in compose]
+    assert [4, 4, 0] in data["pieces"][0]["compose"]
+    path = tmp_path / "wrong_product.json"
+    path.write_text(json.dumps(data))
+    assert run("glue", path) == 2
+    assert capsys.readouterr().err == ("input error: piece 0 fails validation: "
+                                       "[product-endpoints] 4*4 = 0 has wrong endpoints\n")
+
+
+def test_glue_refuses_an_overlap_map_for_a_missing_piece(tmp_path, capsys):
+    data = json.loads((FIXTURES / "gluing_nested.json").read_text())
+    data["isos"].append({"src": 5, "dst": 0, "map": [[4, 4]]})
+    path = tmp_path / "stray_map.json"
+    path.write_text(json.dumps(data))
+    assert run("glue", path) == 2
+    assert "non-overlapping pairs [(5, 0)]" in capsys.readouterr().err
+
+
 def test_fredholm_command(capsys):
     assert run("fredholm", fixture("band_laplacian_shifted.json"),
                "--sizes", "64,128,256") == 0
@@ -193,13 +216,13 @@ def test_console_script_entry_point():
 def test_inconclusive_symbol_scan_is_exit_2(tmp_path, capsys):
     import numpy as np
 
-    from gcstar.bandops import BandOperator
-    from gcstar.serialization import save_band_operator
+    from gcstar.serialization import dump_json
 
-    z = complex(np.exp(0.522j))
-    dodgy = BandOperator.toeplitz({1: 1.0, 0: -z})
+    # the symbol e^{i theta} - z, with z off the scan grid
+    z = [-np.cos(0.522), -np.sin(0.522)]
     path = tmp_path / "dodgy.json"
-    save_band_operator(path, dodgy)
+    dump_json(path, {"diagonals": {"1": {"limit_minus": 1.0, "limit_plus": 1.0},
+                                   "0": {"limit_minus": z, "limit_plus": z}}})
     assert run("fredholm", str(path), "--sizes", "64,128,256") == 2
     assert "refine grid" in capsys.readouterr().err
 

@@ -6,7 +6,7 @@ from gcstar.fixtures import (bmodel_family, disjoint_cover_family,
 from gcstar import gluing
 from gcstar.gluing import (GluingFamily, GluingReport, check_weak_gluing,
                            family_from_reductions, glue)
-from gcstar.groupoid import (FiniteGroup, GroupoidMorphism, direct_product,
+from gcstar.groupoid import (FiniteGroup, direct_product,
                              group_groupoid, isotropy, orbits, pair_groupoid,
                              reduction, validate)
 from gcstar.isosearch import groupoid_isomorphism
@@ -117,7 +117,7 @@ def test_glue_is_order_independent_up_to_isomorphism():
     swapped = GluingFamily(
         cover=(fam.cover[1], fam.cover[0]),
         pieces=(fam.pieces[1], fam.pieces[0]),
-        isos={(1, 0): fam.isos[(0, 1)], (0, 1): fam.isos[(1, 0)]},
+        maps={(1, 0): fam.isos[(0, 1)].arrow_map, (0, 1): fam.isos[(1, 0)].arrow_map},
     )
     assert groupoid_isomorphism(glue(fam), glue(swapped)) is not None
 
@@ -149,7 +149,7 @@ def test_product_of_gluings_is_gluing_of_products():
         cover.append(frozenset((x, y) for x in fam1.cover[i] for y in fam2.cover[j]))
         pieces.append(direct_product(fam1.pieces[i], fam2.pieces[j]))
         codecs.append(_product_ids(fam1.pieces[i], fam2.pieces[j]))
-    isos = {}
+    maps = {}
     for a, (i, j) in enumerate(pairs):
         for b, (k, l) in enumerate(pairs):
             if a == b:
@@ -161,16 +161,11 @@ def test_product_of_gluings_is_gluing_of_products():
             psi = fam2.phi(j, l)
             _, decode_a = codecs[a]
             encode_b, _ = codecs[b]
-            src_red = reduction(pieces[a], overlap)
-            arrow_map, unit_map = {}, {}
-            for pid in src_red.arrows:
+            maps[(a, b)] = {}
+            for pid in reduction(pieces[a], overlap).arrows:
                 g, h = decode_a(pid)
-                arrow_map[pid] = encode_b(phi.arrow_map[g], psi.arrow_map[h])
-            for (x, y) in src_red.units:
-                unit_map[(x, y)] = (phi.unit_map[x], psi.unit_map[y])
-            isos[(a, b)] = GroupoidMorphism(
-                src_red, reduction(pieces[b], overlap), unit_map, arrow_map)
-    prod_family = GluingFamily(cover, pieces, isos)
+                maps[(a, b)][pid] = encode_b(phi.arrow_map[g], psi.arrow_map[h])
+    prod_family = GluingFamily(cover, pieces, maps)
     assert check_weak_gluing(prod_family).ok
     lhs = glue(prod_family)
     rhs = direct_product(glue(fam1), glue(fam2))
@@ -181,33 +176,39 @@ def test_product_of_gluings_is_gluing_of_products():
 def test_family_constructor_rejects_mismatched_overlap_maps():
     G = pair_groupoid(["1", "2", "3"])
     fam = family_from_reductions(G, [{"1", "2", "3"}, {"2", "3"}])
-    wrong_overlap = reduction(G, {"3"})
-    bad = GroupoidMorphism.identity(wrong_overlap)
-    isos = dict(fam.isos)
-    isos[(0, 1)] = bad
-    with pytest.raises(InputError):
-        GluingFamily(fam.cover, fam.pieces, isos)
+    maps = {pair: phi.arrow_map for pair, phi in fam.isos.items()}
+    maps[(0, 1)] = {g: g for g in reduction(G, {"3"}).arrows}
+    with pytest.raises(InputError, match="is not an isomorphism"):
+        GluingFamily(fam.cover, fam.pieces, maps)
 
 
 def test_family_constructor_requires_both_directions():
     G = pair_groupoid(["1", "2", "3"])
     fam = family_from_reductions(G, [{"1", "2", "3"}, {"2", "3"}])
-    isos = {(0, 1): fam.isos[(0, 1)]}
+    maps = {(0, 1): fam.isos[(0, 1)].arrow_map}
     with pytest.raises(InputError, match="missing"):
-        GluingFamily(fam.cover, fam.pieces, isos)
+        GluingFamily(fam.cover, fam.pieces, maps)
 
 
 def test_family_constructor_rejects_non_isomorphisms():
     G = pair_groupoid(["1", "2", "3"])
     fam = family_from_reductions(G, [{"1", "2", "3"}, {"2", "3"}])
     overlap = reduction(G, {"2", "3"})
-    collapse = {g: overlap.unit_arrow["2"] for g in overlap.arrows}
-    bad = GroupoidMorphism(overlap, overlap,
-                           {"2": "2", "3": "3"}, collapse)
-    isos = dict(fam.isos)
-    isos[(0, 1)] = bad
-    with pytest.raises(InputError, match="isomorphism"):
-        GluingFamily(fam.cover, fam.pieces, isos)
+    maps = {pair: phi.arrow_map for pair, phi in fam.isos.items()}
+    maps[(0, 1)] = {g: overlap.unit_arrow["2"] for g in overlap.arrows}
+    with pytest.raises(InputError, match="is not an isomorphism"):
+        GluingFamily(fam.cover, fam.pieces, maps)
+
+
+def test_family_constructor_rejects_unit_arrows_sent_off_the_units():
+    G = pair_groupoid(["1", "2", "3"])
+    fam = family_from_reductions(G, [{"1", "2", "3"}, {"2", "3"}])
+    overlap = reduction(G, {"2", "3"})
+    u2, (g32,) = overlap.unit_arrow["2"], overlap.hom("3", "2")
+    maps = {pair: phi.arrow_map for pair, phi in fam.isos.items()}
+    maps[(0, 1)] = {g: g32 if g == u2 else img for g, img in maps[(0, 1)].items()}
+    with pytest.raises(InputError, match="is not an isomorphism"):
+        GluingFamily(fam.cover, fam.pieces, maps)
 
 
 def test_glue_with_isotropy_overlap():

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from gcstar.errors import InputError
 from gcstar.groupoid import (FiniteGroup, FiniteGroupoid, GroupoidMorphism,
                              action_groupoid, direct_product, disjoint_union,
-                             group_groupoid, is_invariant, isotropy, orbits,
+                             group_groupoid, isotropy, orbit_bases, orbits,
                              pair_groupoid, permute_arrow_ids, reduction,
                              relabel_units, saturation, validate)
-from gcstar.fixtures import broken_pair3, swap_action, trivial_action_two_points
+from gcstar.fixtures import (broken_pair3, disjoint_pair_z2, pair3, swap_action,
+                             trivial_action_two_points, z3_groupoid)
 from gcstar.randgen import random_groupoid, random_subset, rng_from_seed
 
 
@@ -150,7 +151,7 @@ def test_reduction_of_swap_action_to_one_point_is_trivial():
     A = swap_action()
     R = reduction(A, {"a"})
     assert R.n_units() == 1 and R.n_arrows() == 1
-    assert R.is_unit_arrow(R.arrows[0])
+    assert R.unit_arrow == {"a": R.arrows[0]}
 
 
 def test_reduction_rejects_strangers():
@@ -167,15 +168,6 @@ def test_saturation_examples():
     assert saturation(swap_action(), {"a"}) == {"a", "b"}
 
 
-def test_is_invariant_examples():
-    P = pair_groupoid(["1", "2"])
-    assert not is_invariant(P, {"1"})
-    assert is_invariant(P, set(P.units))
-    D = disjoint_union([pair_groupoid(["1", "2"]),
-                        group_groupoid(FiniteGroup.cyclic(2), unit="3")])
-    assert is_invariant(D, {"3"})
-
-
 def test_orbits_and_isotropy_examples():
     P = pair_groupoid(["1", "2", "3"])
     assert orbits(P) == (frozenset({"1", "2", "3"}),)
@@ -189,6 +181,41 @@ def test_orbits_and_isotropy_examples():
     assert set(orbits(T)) == {frozenset({"p"}), frozenset({"q"})}
     assert len(isotropy(T, "p")) == 2
     assert len(isotropy(T, "q")) == 2
+
+
+def _orbits_by_union_find(G):
+    """Reference partition: join the endpoints of every arrow, then list
+    the classes by their first unit."""
+    parent = {x: x for x in G.units}
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for g in G.arrows:
+        parent[root(G.dom[g])] = root(G.ran[g])
+    classes = {}
+    for x in G.units:
+        classes.setdefault(root(x), []).append(x)
+    return tuple(frozenset(c) for c in classes.values())
+
+
+def test_orbits_match_a_union_find_over_the_arrows():
+    rng = rng_from_seed(101)
+    draws = [random_groupoid(rng, max_arrows=60) for _ in range(300)]
+    unions = [disjoint_union([relabel_units(G, {x: (i, x) for x in G.units})
+                              for i, G in enumerate(draws[k:k + 3])])
+              for k in range(0, 30, 3)]
+    fixed = [pair3(), disjoint_pair_z2(), swap_action(), trivial_action_two_points(),
+             z3_groupoid(), disjoint_union([pair_groupoid(["a", "b"]), z3_groupoid("c"),
+                                            pair_groupoid(["d", "e", "f"])])]
+    for G in fixed + unions + draws:
+        expected = _orbits_by_union_find(G)
+        assert orbits(G) == expected
+        bases = orbit_bases(G)
+        assert bases == tuple(min(map(G.units.index, orb)) for orb in expected)
+        assert all(type(b) is int for b in bases)
 
 
 def test_action_groupoid_trivial_z3_is_group():
@@ -253,9 +280,6 @@ def test_morphism_identity_checks_clean():
     phi = GroupoidMorphism.identity(G)
     assert phi.check() == []
     assert phi.is_isomorphism()
-    composed = phi.then(phi)
-    assert composed.arrow_map == phi.arrow_map
-    assert composed.inverse_morphism().unit_map == phi.unit_map
 
 
 def test_morphism_check_reports_a_unit_outside_the_target():
@@ -400,7 +424,7 @@ def test_integer_table_matches_the_dict_tables():
         assert [G.arrows[i] for i in T.unit] == [G.unit_arrow[x] for x in G.units]
         for i, g in enumerate(G.arrows):
             for j, h in enumerate(G.arrows):
-                k = G.try_compose(g, h)
+                k = G.compose_table.get((g, h))
                 assert T.product[i, j] == (-1 if k is None else pos[k])
 
 

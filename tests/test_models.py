@@ -5,8 +5,8 @@ from gcstar.bandops import fredholm_verdict, limit_operator, symbol_invertible
 from gcstar.errors import InputError
 from gcstar.fixtures import (b_model_spec, cusp_model_spec,
                              scattering_model_spec)
-from gcstar.models import (ModelOperatorSpec, boundary_substitution,
-                           boundary_symbol, discretize_model, model_stencil)
+from gcstar.models import (ModelOperatorSpec, boundary_symbol,
+                           discretize_model, model_stencil)
 
 
 def test_stencil_of_shifted_square_field():
@@ -47,26 +47,14 @@ def test_cusp_and_scattering_substitutions_reproduce_the_cylinder_symbol():
         assert discrete.max_abs_difference(base) < 1e-10
 
 
-def test_boundary_substitutions_send_the_boundary_to_plus_infinity():
-    for spec in (b_model_spec(), cusp_model_spec(r=2.0),
-                 scattering_model_spec()):
-        t = boundary_substitution(spec)
-        assert t(1e-4) > t(0.5) > 0 or spec.geometry == "b"
-        assert t(1e-4) > 1e2 or spec.geometry == "b"
-    tb = boundary_substitution(b_model_spec())
-    assert tb(1e-4) > tb(0.5)
-    # the degenerate cusp exponent falls back to the logarithmic substitution
-    t1 = boundary_substitution(cusp_model_spec(r=1.0))
-    assert abs(t1(0.01) - tb(0.01)) < 1e-12
-
-
 def test_wall_is_a_finite_core_perturbation():
     spec = b_model_spec(shift=1.0, n=20)
     A = discretize_model(spec)
     lo, hi = A.core_window()
     assert lo >= -21 and hi <= -19
-    assert A.entry(-20, -21) == 0 and A.entry(-21, -20) == 0
-    assert A.entry(0, 1) != 0
+    # entry (i, j) is the coefficient of diagonal i - j at row i
+    assert A.coefficient(1, -20) == 0 and A.coefficient(-1, -21) == 0
+    assert A.coefficient(-1, 0) != 0
     assert fredholm_verdict(A, grid=8192).fredholm
 
 

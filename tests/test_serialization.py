@@ -1,4 +1,4 @@
-import json
+from pathlib import Path
 
 import pytest
 
@@ -8,20 +8,19 @@ from gcstar.fixtures import (bmodel_family, disjoint_pair_z2, faulty_family,
 from gcstar.gluing import check_weak_gluing, glue
 from gcstar.groupoid import validate
 from gcstar.isosearch import groupoid_isomorphism
-from gcstar.randgen import random_arrow_function, rng_from_seed
-from gcstar.serialization import (band_operator_from_dict,
-                                  band_operator_to_dict, groupoid_from_dict,
-                                  groupoid_to_dict, gluing_family_from_dict,
-                                  gluing_family_to_dict, load_arrow_function,
-                                  load_band_operator, load_groupoid,
-                                  model_spec_from_dict, save_arrow_function,
-                                  save_band_operator, save_groupoid)
+from gcstar.serialization import (band_operator_from_dict, dump_json,
+                                  groupoid_from_dict, groupoid_to_dict,
+                                  gluing_family_from_dict, load_band_operator,
+                                  load_gluing_family, load_groupoid, load_json,
+                                  model_spec_from_dict)
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def test_groupoid_round_trip(tmp_path):
     G = disjoint_pair_z2()
     path = tmp_path / "g.json"
-    save_groupoid(path, G)
+    dump_json(path, groupoid_to_dict(G))
     H = load_groupoid(path)
     assert validate(H).ok
     assert H.units == G.units
@@ -47,18 +46,18 @@ def test_malformed_groupoid_document():
 
 
 @pytest.mark.parametrize("bad", [0.9, True, False])
-def test_arrow_ids_must_be_json_integers(tmp_path, bad):
+def test_arrow_ids_must_be_json_integers(bad):
     data = groupoid_to_dict(pair3())
     data["arrows"][0]["id"] = bad
     with pytest.raises(InputError, match="is not an integer"):
         groupoid_from_dict(data)
-    path = tmp_path / "f.json"
-    path.write_text(json.dumps([[bad, 1.0, 0.0]]))
+    data = load_json(FIXTURES / "gluing_nested.json")
+    data["isos"][0]["map"][0][0] = bad
     with pytest.raises(InputError, match="is not an integer"):
-        load_arrow_function(path, pair3())
+        gluing_family_from_dict(data)
 
 
-def test_repeated_arrow_records_are_rejected(tmp_path):
+def test_repeated_arrow_records_are_rejected():
     data = groupoid_to_dict(pair3())
     data["arrows"].append(dict(data["arrows"][0], dom="2"))
     with pytest.raises(InputError, match="repeated arrow record 0"):
@@ -67,31 +66,20 @@ def test_repeated_arrow_records_are_rejected(tmp_path):
     data["compose"].append([*data["compose"][0][:2], 5])
     with pytest.raises(InputError, match="repeated product entry"):
         groupoid_from_dict(data)
-    path = tmp_path / "f.json"
-    path.write_text(json.dumps([[1, 1.0, 0.0], [1, 2.0, 0.0]]))
-    with pytest.raises(InputError, match="repeated arrow-function id 1"):
-        load_arrow_function(path, pair3())
+    data = load_json(FIXTURES / "gluing_nested.json")
+    data["isos"][0]["map"].append([4, 5])
+    with pytest.raises(InputError, match="repeated overlap map entry 4"):
+        gluing_family_from_dict(data)
 
 
-def test_arrow_function_round_trip(tmp_path):
-    G = pair3()
-    f = random_arrow_function(rng_from_seed(0), G)
-    path = tmp_path / "f.json"
-    save_arrow_function(path, f)
-    g = load_arrow_function(path, G)
-    assert f.max_abs_difference(g) < 1e-15
-
-
-def test_band_operator_round_trip(tmp_path):
-    A = shifted_laplacian_band()
-    path = tmp_path / "a.json"
-    save_band_operator(path, A)
-    B = load_band_operator(path)
-    assert B.diagonals == A.diagonals
+def test_band_operator_round_trip():
+    B = load_band_operator(FIXTURES / "band_laplacian_shifted.json")
+    assert B.diagonals == shifted_laplacian_band().diagonals
 
 
 def test_band_operator_bandwidth_mismatch():
-    data = band_operator_to_dict(shifted_laplacian_band())
+    data = load_json(FIXTURES / "band_laplacian_shifted.json")
+    band_operator_from_dict(data)
     data["bandwidth"] = 7
     with pytest.raises(InputError):
         band_operator_from_dict(data)
@@ -99,17 +87,24 @@ def test_band_operator_bandwidth_mismatch():
 
 def test_gluing_family_round_trip():
     fam = bmodel_family()
-    data = gluing_family_to_dict(fam)
-    back = gluing_family_from_dict(data)
+    back = load_gluing_family(FIXTURES / "gluing_bmodel.json")
+    assert back.cover == fam.cover
+    assert [groupoid_to_dict(G) for G in back.pieces] == [groupoid_to_dict(G)
+                                                          for G in fam.pieces]
+    assert ({pair: phi.arrow_map for pair, phi in back.isos.items()}
+            == {pair: phi.arrow_map for pair, phi in fam.isos.items()})
     assert check_weak_gluing(back).ok
     assert groupoid_isomorphism(glue(back), glue(fam)) is not None
 
 
 def test_gluing_round_trip_preserves_faults():
-    data = gluing_family_to_dict(faulty_family())
-    back = gluing_family_from_dict(data)
+    fam = faulty_family()
+    back = load_gluing_family(FIXTURES / "gluing_faulty.json")
+    assert ({pair: phi.arrow_map for pair, phi in back.isos.items()}
+            == {pair: phi.arrow_map for pair, phi in fam.isos.items()})
     report = check_weak_gluing(back)
     assert not report.ok and report.cocycle_failures
+    assert report == check_weak_gluing(fam)
 
 
 def test_model_spec_accepts_bare_reals_and_pairs():

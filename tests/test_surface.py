@@ -1,0 +1,71 @@
+"""The library keeps only what its verdicts use.
+
+Every function, class and method defined in ``src/gcstar/`` must be named
+somewhere else in the package (outside its own definition and
+``__init__.py``) or in ``gcbench/``; a name that only tests reach belongs in
+the tests or nowhere.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gcstar"
+
+# Kept although only tests name them, each for its stated purpose.
+EXEMPT = {
+    "fixtures.py": "the canonical instances of the tests and the CLI fixtures",
+    "generator_matrix": "the dense reference the tests compare the block images against",
+    "truncation": "the dense reference the tests compare the finite sections against",
+    "klein_four": "groupoid.py is the one home of the group builders",
+}
+
+
+def _names(node):
+    """Every identifier ``node`` names: names, attributes, and string
+    constants spelling a dotted name (as ``gcbench/tracer.py`` names its
+    targets)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            parts = sub.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                yield from parts
+
+
+def _definitions(tree):
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [node for node in ast.walk(tree) if isinstance(node, defs)]
+
+
+def unreached_names(package=PACKAGE):
+    """(module, name) of each definition in ``package`` that nothing else names."""
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
+    outside = set()
+    for path in sorted((ROOT / "gcbench").glob("*.py")):
+        outside.update(_names(ast.parse(path.read_text(encoding="utf-8"))))
+
+    counts = {}
+    for tree in modules.values():
+        for name in _names(tree):
+            counts[name] = counts.get(name, 0) + 1
+    unreached = []
+    for module, tree in modules.items():
+        if module in EXEMPT:
+            continue
+        for node in _definitions(tree):
+            name = node.name
+            if name in EXEMPT or (name.startswith("__") and name.endswith("__")):
+                continue
+            own = sum(1 for n in _names(node) if n == name)
+            if counts.get(name, 0) == own and name not in outside:
+                unreached.append((module, name))
+    return unreached
+
+
+def test_every_library_name_is_reached_outside_the_tests():
+    assert unreached_names() == []
