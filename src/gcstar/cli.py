@@ -278,6 +278,7 @@ def cmd_suite(args, config):
         report.add(rows, f"criterion-{r.index}", r.detail)
     for r in results:
         print(r.line())
+        print(f"criterion {r.index} [{r.name}] took {r.elapsed:.1f}s", file=sys.stderr)
     report.write(config.out)
     if config.out:
         print(f"report written to {config.out}")

@@ -11,10 +11,10 @@ extracted numerically:
    the representation space along its eigenvalue clusters;
 3. compute the arrow images Q* A_g Q of each cluster once; group equivalent
    sub-blocks by their traces and keep one representative per class, whose
-   images are checked, not recomputed: its range must be invariant under
-   every generator (hence multiplicative) and its character must have the
-   norm of an irreducible.  Annihilators need no images: a block kills
-   delta_g exactly when its trace on the unit arrow at dom g (a rank) is 0.
+   range the eigen-gap of the split certifies invariant under every
+   generator (hence multiplicative; Davis-Kahan) and whose character must
+   have the norm of an irreducible.  Annihilators need no images: a block
+   kills delta_g exactly when its trace on the unit arrow at dom g is 0.
 
 Every block corresponds to one irreducible representation, hence to one
 primitive ideal (its kernel).  Induction from the algebra of a reduction is
@@ -41,13 +41,14 @@ CLUSTER_TOL = 1e-9
 # (~1e-13 at desk scale), one decade under the clustering tolerance is a
 # safe ambiguity band; gaps above it are real and split cleanly.
 CLUSTER_GRAY_ZONE = 1e-8
-# Floors of the two below: rounding of ~D*d*u ~ 1e-13 at D = 48, d = 12, plus
-# the eigenvector error u*||T||/gap of the split; the largest invariance
-# residual over the spectrum-ladder benchmark (seed 101) is 4.8e-13.  The
-# character-norm defect read <= 3.0e-15 over 2598 blocks (that ladder and 300
-# random groupoids); a reducible block misses by >= 1/|d^-1(x)| (1/12 there).
+# Floors of the two below: the invariance bound plus isometry defect read
+# <= 1.4e-12 over the 709 blocks kept on the spectrum-ladder (seed 101;
+# smallest gap 2.1e-3) and <= 2.0e-10 over 300 random_groupoid(max_arrows=60)
+# draws (smallest gap 1.2e-5).  The character-norm defect read <= 3.0e-15
+# over 2598 blocks (that ladder and 300 random groupoids); a reducible block
+# misses by >= 1/|d^-1(x)| (1/12 there).
 TRACE_TOL = 1e-8   # trace distance between equivalent clusters
-BLOCK_TOL = 1e-8   # isometry defect, invariance residuals, character norm
+BLOCK_TOL = 1e-8   # isometry defect plus invariance bound; character norm
 # Floors: a unit trace is a projection's rank; over the 2920 blocks of the
 # spectrum-ladder (seeds 101, 7) and 400 random groupoids it read exactly 0.0
 # or at least 1 - 3.1e-15.  There, the traces on the cover reductions gave
@@ -82,14 +83,6 @@ class ConcreteAlgebra:
         the rows of the isometry Q (D x d), so no D x D generator is formed."""
         Qz = np.vstack([Q, np.zeros((1, Q.shape[1]))])
         return Qz[self._entry_row].conj().transpose(0, 2, 1) @ Qz[self._entry_col]
-
-    def translates(self, Q):
-        """A_g Q for all arrows g, as an (n_arrows, D, d) array; scatters the
-        rows of Q, so no D x D generator is formed."""
-        Qz = np.vstack([Q, np.zeros((1, Q.shape[1]))])
-        out = np.zeros((len(self._entry_row),) + Qz.shape, dtype=Q.dtype)
-        out[np.arange(len(out))[:, None], self._entry_row] = Qz[self._entry_col]
-        return out[:, :-1]
 
     def generator_matrix(self, g):
         k = self.groupoid.table.position[g]
@@ -154,10 +147,9 @@ def commutant_basis(alg):
     different orbits are disjoint, so nothing couples them.  One element per
     base unit and isotropy arrow, in ascending id order.
 
-    The blocks split along this commutant are still checked independently:
-    a wrong commutant splits along subspaces that are not invariant or not
-    irreducible, which the dimension census, the invariance and character-norm
-    checks of :func:`_verify_blocks` or the multiplicity decompositions catch.
+    The invariance bound of :func:`_verify_blocks` assumes this commutant; a
+    wrong one is refused by the dimension census, the character norm or the
+    multiplicity decompositions.
     """
     T, coordinate = alg.groupoid.table, alg.coordinate
     basis = []
@@ -287,7 +279,7 @@ def wedderburn(alg, seed=0, cluster_tol=CLUSTER_TOL):
                 break
         else:
             groups.append({"dim": n, "traces": traces, "count": 1, "isometry": Q,
-                           "images": images})
+                           "images": images, "cluster": (lo, hi)})
 
     if sum(grp["dim"] ** 2 for grp in groups) != alg.groupoid.n_arrows():
         raise AmbiguityError(
@@ -305,40 +297,56 @@ def wedderburn(alg, seed=0, cluster_tol=CLUSTER_TOL):
         Block(label=f"B{i}", dim=grp["dim"], multiplicity=grp["count"],
               isometry=grp["isometry"], traces=tuple(grp["traces"]))
         for i, grp in enumerate(groups)))
-    _verify_blocks(dec, [grp["images"] for grp in groups])
+    bounds = _invariance_bounds(T, eigenvalues, vectors, [grp["cluster"] for grp in groups])
+    _verify_blocks(dec, [grp["images"] for grp in groups], bounds)
     return dec
 
 
-def _verify_blocks(dec, images):
+def _invariance_bounds(T, eigenvalues, vectors, clusters):
+    """The sin-Theta bound of :func:`_verify_blocks` for each cluster [lo, hi)
+    of T V = V diag(w): 2 ||R[:, lo:hi]||_F / delta, or inf if delta <= 0."""
+    R = T @ vectors - vectors * eigenvalues
+    slack = np.linalg.norm(R)  # Frobenius: at least the spectral norm
+    w = np.concatenate(([-np.inf], eigenvalues, [np.inf]))
+    deltas = [min(w[lo + 1] - w[lo], w[hi + 1] - w[hi]) - 2 * slack for lo, hi in clusters]
+    return [2 * np.linalg.norm(R[:, lo:hi]) / delta if delta > 0 else np.inf
+            for (lo, hi), delta in zip(clusters, deltas)]
+
+
+def _verify_blocks(dec, images, bounds):
     """Integrity checks: each block map phi(g) = Q* A_g Q, stacked in
     ``images`` as :func:`wedderburn` formed them for the traces, is an
-    irreducible *-homomorphism.  Per block: Q* Q = I; every residual
-    r_g = ||A_g Q - Q phi(g)||_F is at most BLOCK_TOL, and
-    r_g^2 = ||(I - QQ*) A_g Q||^2 + ||Q* A_g Q - phi(g)||^2 for an isometry.
-    As ||A_a|| <= 1, phi(a) phi(b) - phi(ab) = -Q* A_a (I - QQ*) A_b Q has
-    norm at most r_b: invariance implies multiplicativity on every product,
-    the zero products across orbits included.  The adjoint law is checked
-    once in :func:`concrete_algebra`.  Schur orthogonality gives
+    irreducible *-homomorphism.  Per block: Q* Q = I, and its bound in
+    ``bounds`` plus that isometry defect is at most BLOCK_TOL.  The splitting
+    element T combines right translations, so it commutes exactly with every
+    A_g (associativity), hence with T's spectral projector P near the cluster
+    Q = V[:, lo:hi].  With R = T V - V diag(w), Weyl's theorem puts T's
+    spectrum within eps = ||R|| of w, the rest of it lies delta = gap - 2 eps
+    from the cluster, and the sin-Theta theorem gives ||sin Theta(Q, P)||_F <=
+    ||R[:, lo:hi]||_F / delta (Davis and Kahan, SIAM J. Numer. Anal. 7, 1970;
+    Stewart and Sun, Matrix Perturbation Theory, 1990, V.3).  As ||A_g|| <= 1,
+    (I - QQ*) A_g Q = (I - QQ*) (P A_g P Q + A_g (I - P) Q) is at most twice
+    that for every g at once, and phi(a) phi(b) - phi(ab) =
+    -Q* A_a (I - QQ*) A_b Q: invariance implies multiplicativity on every
+    product, the zero products across orbits included.  The adjoint law is
+    checked once in :func:`concrete_algebra`.  Schur orthogonality gives
     sum_g |tr phi(g)|^2 = sum_O |O| |H_O| sum m_rho^2 (orbits O, isotropy H_O,
     multiplicities m_rho of its irreducibles) and |d^-1(x)| = |O_x| |H_x|: at
     the unit x of largest |tr phi| their ratio is 1 exactly for one irreducible
     on one orbit, and misses by >= 1 within one orbit, by >= 1/|d^-1(x)| across two.
     """
-    alg, T = dec.algebra, dec.algebra.groupoid.table
-    for b, X in zip(dec.blocks, images, strict=True):
+    table = dec.algebra.groupoid.table
+    for b, X, bound in zip(dec.blocks, images, bounds, strict=True):
         Q = b.isometry
-        if np.max(np.abs(Q.conj().T @ Q - np.eye(b.dim))) > BLOCK_TOL:
+        defect = np.linalg.norm(Q.conj().T @ Q - np.eye(b.dim))
+        if defect > BLOCK_TOL:
             raise AmbiguityError(f"block {b.label} is not an isometry")
-        R = alg.translates(Q)
-        R -= Q @ X  # the residuals A_g Q - Q phi(g), in place
-        r2 = (np.einsum("kij,kij->k", R.real, R.real)
-              + np.einsum("kij,kij->k", R.imag, R.imag))  # r_g^2, no temporaries
-        if np.max(r2, initial=0.0) > BLOCK_TOL ** 2:
-            raise AmbiguityError(f"block {b.label} is not invariant under "
-                                 f"the generators; its map fails multiplicativity")
+        if not bound + defect <= BLOCK_TOL:
+            raise AmbiguityError(f"block {b.label} is not certified invariant (bound "
+                                 f"{bound:.1e}); re-run with a different seed")
         chi2 = np.abs(np.einsum("kii->k", X)) ** 2
-        x = np.argmax(chi2[T.unit])
-        if abs(chi2.sum() / np.count_nonzero(T.dom == x) - 1.0) > BLOCK_TOL:
+        x = np.argmax(chi2[table.unit])
+        if abs(chi2.sum() / np.count_nonzero(table.dom == x) - 1.0) > BLOCK_TOL:
             raise AmbiguityError(f"block {b.label} is not irreducible; "
                                  f"re-run with a different seed")
 
@@ -356,8 +364,8 @@ def prim_partition(dec, U):
     As phi is a *-homomorphism, phi(g)* phi(g) = phi(u(dom g)) is a
     projection, so phi(g) = 0 exactly when that projection's trace (its rank)
     is 0: a block kills G|_U when its trace on every unit arrow over U does.
-    :func:`concrete_algebra` (adjoint law) and :func:`_verify_blocks`
-    (invariance) certify the *-homomorphism before :func:`wedderburn` returns.
+    :func:`concrete_algebra` (adjoint law) and :func:`_verify_blocks` (the
+    invariance bound) certify the *-homomorphism before :func:`wedderburn` returns.
     The character norm certifies each block as one irreducible on one orbit,
     of nonzero trace at every unit of it, so U and its saturation (the ideal
     the corner generates) give the same partition by construction.
@@ -375,10 +383,8 @@ def prim_partition(dec, U):
 
 @dataclass(frozen=True)
 class InductionResult:
-    subset: frozenset
     mapping: dict          # block label of the reduction -> block label upstairs
-    prim_inside: frozenset   # blocks annihilating the corner
-    prim_outside: frozenset  # their complement; equals the image of ``mapping``
+    prim_outside: frozenset  # blocks not annihilating the corner; the image of ``mapping``
     dec: BlockDecomposition
     dec_red: BlockDecomposition
 
@@ -423,7 +429,7 @@ def induction_map(G, U, seed=0, dec=None, dec_red=None):
                 f"numerical failure upstream")
         mapping[j] = found[0]
 
-    result = InductionResult(U, mapping, inside, outside, dec, dec_red)
+    result = InductionResult(mapping, outside, dec, dec_red)
     if not result.ok:
         raise AmbiguityError("induced blocks do not exhaust the complement of "
                              "the annihilator; numerical failure upstream")
@@ -435,9 +441,6 @@ def induction_map(G, U, seed=0, dec=None, dec_red=None):
 
 @dataclass(frozen=True)
 class PhiIsometryReport:
-    subset: frozenset
-    unit: object
-    tensor_count: int
     fiber_dim: int
     gram_residual: float
     intertwining_residual: float
@@ -515,7 +518,7 @@ def check_phi_isometry(G, U, x, seed=0, samples=8):
         for h, ha in enumerate(P[:, arrows_U])) else 1.0
 
     return PhiIsometryReport(
-        subset=U, unit=x, tensor_count=nt, fiber_dim=len(fiber_full),
+        fiber_dim=len(fiber_full),
         gram_residual=float(gram_residual),
         intertwining_residual=float(intertwining),
         surjective=bool(surjective),
@@ -527,8 +530,6 @@ def check_phi_isometry(G, U, x, seed=0, samples=8):
 
 @dataclass(frozen=True)
 class NormEstimateReport:
-    subset: frozenset
-    trials: int
     max_equality_gap: float       # | norm in the reduction - norm upstairs |
     min_induction_slack: float    # min over blocks of (induced norm - block norm)
     max_regular_consistency: float  # block-model norm vs sup of regular reps
@@ -574,8 +575,7 @@ def check_norm_estimates(G, U, trials=20, seed=0, dec=None, dec_red=None):
             min_slack = min(min_slack, norms_up[ind.mapping[j]] - nj)
     if not np.isfinite(min_slack):
         min_slack = 0.0
-    return NormEstimateReport(U, trials, float(max_gap), float(min_slack),
-                              float(max_reg))
+    return NormEstimateReport(float(max_gap), float(min_slack), float(max_reg))
 
 
 # -- the spectrum decomposition over a cover -----------------------------------
@@ -627,7 +627,6 @@ def verify_spectrum_decomposition(G, cover, seed=0, dec=None):
 
 @dataclass(frozen=True)
 class MoritaReport:
-    subset: frozenset
     saturation: frozenset
     left_free: bool
     right_free: bool
@@ -671,7 +670,7 @@ def morita_reduction_data(G, U):
         for gz, zh in zip(left, right))
     left_ok = _quotient_bijects(Z, left, T.dom, in_U)
     right_ok = _quotient_bijects(Z, right, T.ran, in_W)
-    return MoritaReport(U, W, left_free, right_free, commute, left_ok, right_ok)
+    return MoritaReport(W, left_free, right_free, commute, left_ok, right_ok)
 
 
 def _quotient_bijects(Z, moves, label, target):

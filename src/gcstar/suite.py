@@ -41,8 +41,7 @@ class CriterionResult:
 
     def line(self):
         status = "PASS" if self.ok else "FAIL"
-        return (f"criterion {self.index} [{self.name}]: {status} "
-                f"({self.detail}; {self.elapsed:.1f}s)")
+        return f"criterion {self.index} [{self.name}]: {status} ({self.detail})"
 
 
 def _timed(index, name, body):

@@ -1,0 +1,138 @@
+"""Mutation checks: each mutation breaks one law that named tests guard.
+
+    python tests/mutants.py [--only NAME]
+
+For each mutation the runner copies ``src/`` to a temporary directory,
+replaces the mutation's exact old text (which must occur exactly once in its
+file) with the new text, and runs the mutation's tests against that copy
+with ``pytest -x -q``.  The mutation is *killed* when a test fails and
+*survives* when they all pass.  Old text that is missing, or a test run that
+errors out instead of failing (a collection error, say), is an error: the
+table follows the code, and a refactor that moves a mutated line has to move
+its entry too.  Before the mutations, the union of their tests runs once on
+the unmutated tree, so a test that fails anyway cannot count as a kill.
+
+Exit status: 0 when every mutation is killed, 1 when one survives, 2 on an
+error.  Standard library only (plus pytest, which runs the tests).  The idea
+is mutation testing: DeMillo, Lipton and Sayward, "Hints on test data
+selection", IEEE Computer 11(4), 1978; Jia and Harman, IEEE TSE 37(5), 2011.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SPECTRUM = "tests/test_spectrum.py::"
+
+# (name, file under src/gcstar, old text, new text, test ids that must fail)
+MUTANTS = [
+    # -- the invariance certificate of the block split --------------------------
+    ("eigenvector-rotated", "spectrum.py",
+     "    eigenvalues, vectors = np.linalg.eigh(T)\n",
+     "    eigenvalues, vectors = np.linalg.eigh(T)\n"
+     "    for hi in np.flatnonzero(np.diff(eigenvalues) > cluster_tol)[:1] + 1:\n"
+     "        c, s = np.cos(1e-6), np.sin(1e-6)\n"
+     "        vectors[:, [hi - 1, hi]] = vectors[:, [hi - 1, hi]] @ np.array([[c, -s], [s, c]])\n",
+     [SPECTRUM + "test_wedderburn_z3_matches_discrete_fourier_characters",
+      SPECTRUM + "test_block_census_on_random_groupoids"]),
+    ("commutant-rolled", "spectrum.py",
+     "basis.append((coordinate[T.product[fiber, h]], coordinate[fiber]))",
+     "basis.append((coordinate[T.product[fiber, h]], np.roll(coordinate[fiber], 1)))",
+     [SPECTRUM + "test_commutant_dimension_equals_total_isotropy"]),
+    ("weyl-slack-dropped", "spectrum.py",
+     "w[hi + 1] - w[hi]) - 2 * slack for lo, hi in clusters]",
+     "w[hi + 1] - w[hi]) for lo, hi in clusters]",
+     [SPECTRUM + "test_invariance_bound_holds_for_an_inexact_eigenbasis"]),
+    ("invariance-bound-ignored", "spectrum.py",
+     "if not bound + defect <= BLOCK_TOL:",
+     "if not defect <= BLOCK_TOL:",
+     [SPECTRUM + "test_verify_blocks_rejects_a_subspace_rotated_off_its_orbit",
+      SPECTRUM + "test_wedderburn_refuses_an_eigenvector_rotated_into_its_neighbouring_cluster"]),
+    ("commutant-left-translation", "spectrum.py",
+     "basis.append((coordinate[T.product[fiber, h]], coordinate[fiber]))",
+     "basis.append((coordinate[T.product[h, fiber]], coordinate[fiber]))",
+     [SPECTRUM + "test_commutant_dimension_equals_total_isotropy"]),
+    # -- mutations described in CHANGES.md that still apply ----------------------
+    ("character-norm-dropped", "spectrum.py",
+     "if abs(chi2.sum() / np.count_nonzero(table.dom == x) - 1.0) > BLOCK_TOL:",
+     "if False:",
+     [SPECTRUM + "test_verify_blocks_rejects_a_reducible_block"]),
+    ("character-norm-at-argmin", "spectrum.py",
+     "x = np.argmax(chi2[table.unit])",
+     "x = np.argmin(chi2[table.unit])",
+     [SPECTRUM + "test_block_census_on_random_groupoids"]),
+    ("validate-padding-zero", "groupoid.py",
+     "padded = np.hstack([P, np.full((n, 1), -1)]).ravel()",
+     "padded = np.hstack([P, np.full((n, 1), 0)]).ravel()",
+     ["tests/test_groupoid.py::test_associativity_gathers_match_the_per_arrow_reference"]),
+    ("orbits-by-maximum", "groupoid.py",
+     "np.minimum.at(base, self._table.dom, self._table.ran)",
+     "np.maximum.at(base, self._table.dom, self._table.ran)",
+     ["tests/test_groupoid.py::test_orbits_match_a_union_find_over_the_arrows"]),
+    ("pair-inverse-transposed", "groupoid.py",
+     "return j, i, j * n + i, np.arange(n) * (n + 1),",
+     "return j, i, i * n + j, np.arange(n) * (n + 1),",
+     ["tests/test_groupoid.py::test_validate_pair_groupoid_clean"]),
+    ("tridiagonal-core-entry-dropped", "randgen.py",
+     "                     + ((-1, upper.value(0).conjugate()),))",
+     "                     )",
+     ["tests/test_randgen.py::"
+      "test_random_selfadjoint_tridiagonal_is_diag_plus_upper_plus_adjoint"]),
+    ("dstebz-interval-widened", "bandops.py",
+     "dstebz(diag, off, 1, -t, t, 0, 0, 2 * t, b\"B\")",
+     "dstebz(diag, off, 1, -2 * t, t, 0, 0, 2 * t, b\"B\")",
+     ["tests/test_bandops.py"]),
+]
+
+
+def run_tests(src, tests):
+    """pytest's exit status for ``tests`` with ``src`` first on the path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                           *tests], cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def run_mutant(file, old, new, tests):
+    """'killed', 'survived', or an error message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "gcstar" / file
+        text = path.read_text(encoding="utf-8")
+        if text.count(old) != 1:
+            return f"error: old text found {text.count(old)} times in {file}"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        status = run_tests(src, tests)
+    return {0: "survived", 1: "killed"}.get(status, f"error: pytest exit status {status}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--only", help="run only the mutation of this name")
+    args = parser.parse_args(argv)
+    mutants = [m for m in MUTANTS if args.only in (None, m[0])]
+    if not mutants:
+        parser.error(f"no mutation named {args.only!r}")
+    baseline = sorted({t for *_, tests in mutants for t in tests})
+    if run_tests(ROOT / "src", baseline) != 0:
+        print("error: the tests fail on the unmutated tree", file=sys.stderr)
+        return 2
+    outcomes = []
+    for mutant in mutants:
+        outcome = run_mutant(*mutant[1:])
+        outcomes.append(outcome)
+        print(f"{mutant[0]}: {outcome}", flush=True)
+    if any(o.startswith("error") for o in outcomes):
+        return 2
+    return 1 if "survived" in outcomes else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -178,6 +178,23 @@ def test_reports_are_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_suite_stdout_holds_no_timings(monkeypatch, capsys):
+    import gcstar.cli as cli
+    from gcstar.suite import CriterionResult
+
+    outputs = []
+    for elapsed in (0.04, 7.3):
+        results = [CriterionResult(1, "algebra-axioms", True, "worst 1e-15", elapsed),
+                   CriterionResult(2, "spectrum-decomposition", False, "1 failed", elapsed)]
+        monkeypatch.setattr(cli, "run_suite", lambda seed, results=results: results)
+        assert run("suite", "--seed", "3") == 1
+        captured = capsys.readouterr()
+        outputs.append(captured.out)
+        assert f"{elapsed:.1f}s" in captured.err  # timings go to the side channel
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[0] == "criterion 1 [algebra-axioms]: PASS (worst 1e-15)"
+
+
 def test_report_schema_header(tmp_path):
     out = tmp_path / "r.txt"
     assert run("spectrum", fixture("pair3.json"), "--out", out) == 0

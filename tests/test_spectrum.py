@@ -12,10 +12,10 @@ from gcstar.errors import AmbiguityError
 from gcstar.groupoid import (FiniteGroup, direct_product, disjoint_union,
                              group_groupoid, isotropy, orbits, pair_groupoid,
                              reduction)
-from gcstar.randgen import (random_arrow_function, random_groupoid,
-                            random_subset, rng_from_seed)
-from gcstar.spectrum import (ANNIHILATION_TOL, BlockDecomposition,
-                             _verify_blocks, block_decomposition,
+from gcstar.randgen import (random_admissible_cover, random_arrow_function,
+                            random_groupoid, random_subset, rng_from_seed)
+from gcstar.spectrum import (ANNIHILATION_TOL, BLOCK_TOL, BlockDecomposition,
+                             _invariance_bounds, _verify_blocks, block_decomposition,
                              check_norm_estimates, check_phi_isometry,
                              commutant_basis, concrete_algebra, induction_map,
                              morita_reduction_data, prim_partition,
@@ -152,8 +152,6 @@ def test_block_images_match_dense_definition():
             dense = np.stack([Q.conj().T @ alg.generator_matrix(g) @ Q
                               for g in G.arrows])
             assert np.max(np.abs(alg.images(Q) - dense)) < 1e-12
-            translates = np.stack([alg.generator_matrix(g) @ Q for g in G.arrows])
-            assert np.max(np.abs(alg.translates(Q) - translates)) < 1e-12
             assert np.max(np.abs(np.array(b.traces)
                                  - np.trace(dense, axis1=1, axis2=2))) < 1e-12
     # non-abelian isotropy: S3 has irreducibles of dimension 1, 1 and 2
@@ -334,21 +332,43 @@ def test_block_apply_matches_dense_definition():
 ])
 def test_verify_blocks_rejects_a_reducible_block(G, parts):
     dec = block_decomposition(G, seed=1)
-    _verify_blocks(dec, dec.arrow_images)
     parts = [dec.blocks[i] for i in parts]
     Q = np.hstack([b.isometry for b in parts])
     # the fake keeps the first part's traces: the check must read the images
     fake = BlockDecomposition(dec.algebra,
                               (replace(parts[0], dim=Q.shape[1], isometry=Q),))
-    X = fake.arrow_images[0]
-    R = dec.algebra.translates(Q) - Q @ X
-    assert np.max(np.abs(R)) < 1e-12  # invariant: only irreducibility fails
+    # invariant, so an invariance bound of 0 is honest: only irreducibility fails
+    assert np.max(invariance_residuals(dec.algebra, Q)) < 1e-12
     with pytest.raises(AmbiguityError, match="not irreducible"):
-        _verify_blocks(fake, fake.arrow_images)
+        _verify_blocks(fake, fake.arrow_images, [0.0])
+
+
+def tamper_eigh(monkeypatch, edit):
+    """Pass each eigen-decomposition (w, V) through edit, which changes w or
+    V in place, before the splitting code reads it."""
+    eigh = np.linalg.eigh
+
+    def tampered(T):
+        w, V = eigh(T)
+        edit(w, V)
+        return w, V
+
+    monkeypatch.setattr(np.linalg, "eigh", tampered)
+
+
+def columns_of(V, Q):
+    """The columns of V that span the range of the isometry Q."""
+    return np.flatnonzero(np.linalg.norm(Q.conj().T @ V, axis=0) > 0.5)
+
+
+def rotate(V, i, j, theta):
+    """Turn column i of V toward column j by theta; V stays unitary."""
+    c, s = np.cos(theta), np.sin(theta)
+    V[:, [i, j]] = V[:, [i, j]] @ np.array([[c, -s], [s, c]])
 
 
 def pair_block_and_characters(dec):
-    """The two-dimensional block of disjoint_pair_z2 and the isometry (6 x 2)
+    """The two-dimensional block of disjoint_pair_z2 and the isometry (4 x 2)
     of its two characters, which lives on the fiber of the other orbit."""
     pair = next(b for b in dec.blocks if b.dim == 2)
     P = np.hstack([b.isometry for b in dec.blocks if b.dim == 1])
@@ -356,69 +376,124 @@ def pair_block_and_characters(dec):
     return pair, P
 
 
-def test_verify_blocks_rejects_a_subspace_rotated_off_its_orbit():
+def test_verify_blocks_rejects_a_subspace_rotated_off_its_orbit(monkeypatch):
     G = disjoint_pair_z2()
-    dec = block_decomposition(G, seed=1)
-    _verify_blocks(dec, dec.arrow_images)
-    pair, P = pair_block_and_characters(dec)
-    theta = 1e-6
-    Q = np.cos(theta) * pair.isometry + np.sin(theta) * P  # still an isometry
-    fake = BlockDecomposition(dec.algebra, (replace(pair, isometry=Q),))
-    with pytest.raises(AmbiguityError, match="not invariant"):
-        _verify_blocks(fake, fake.arrow_images)
+    pair, P = pair_block_and_characters(block_decomposition(G, seed=1))
+
+    def edit(w, V):
+        rotate(V, columns_of(V, pair.isometry)[0], columns_of(V, P)[0], 1e-6)
+
+    tamper_eigh(monkeypatch, edit)
+    with pytest.raises(AmbiguityError, match="not certified invariant"):
+        block_decomposition(G, seed=1)
 
 
 @pytest.mark.parametrize("tamper, message", [
-    # every image scaled by 4, as Q* Q = 4I
-    (lambda Q, P: 2 * Q, "not an isometry"),
-    # an isometry half on each orbit: the image of the unit at 1 is halved,
-    # self-adjoint but no longer idempotent
-    (lambda Q, P: (Q + P) / np.sqrt(2), "fails multiplicativity$"),
+    # every image of the pair block scaled by 4, as Q* Q = 4I
+    (lambda Q, P: (2 * Q, P), "not an isometry"),
+    # the pair block turned halfway onto the characters: the image of the
+    # unit at 1 is halved, self-adjoint but no longer idempotent
+    (lambda Q, P: ((Q + P) / np.sqrt(2), (P - Q) / np.sqrt(2)), "not certified invariant"),
 ])
-def test_verify_blocks_rejects_tampered_images(tamper, message):
+def test_verify_blocks_rejects_tampered_images(monkeypatch, tamper, message):
     G = disjoint_pair_z2()
     dec = block_decomposition(G, seed=1)
-    _verify_blocks(dec, dec.arrow_images)
     pair, P = pair_block_and_characters(dec)
-    Q = tamper(pair.isometry, P)
+    Q, _ = tamper(pair.isometry, P)
     X = dec.algebra.images(Q)
     u = G.arrows.index(G.unit_arrow["1"])
     assert np.max(np.abs(X[u] - X[u].conj().T)) < 1e-12
     assert np.max(np.abs(X[u] @ X[u] - X[u])) > 0.1
-    fake = BlockDecomposition(dec.algebra, (replace(pair, isometry=Q),))
+
+    def edit(w, V):
+        q, p = columns_of(V, pair.isometry), columns_of(V, P)
+        V[:, q], V[:, p] = tamper(V[:, q], V[:, p])
+
+    tamper_eigh(monkeypatch, edit)
     with pytest.raises(AmbiguityError, match=message):
-        _verify_blocks(fake, fake.arrow_images)
+        block_decomposition(G, seed=1)
 
 
-def test_verify_blocks_rejects_images_that_are_not_the_blocks_own():
-    dec = block_decomposition(disjoint_pair_z2(), seed=1)
-    images = [X.copy() for X in dec.arrow_images]
-    images[-1][0] += 1e-6  # one image off Q* A_g Q, far above BLOCK_TOL
-    with pytest.raises(AmbiguityError, match="not invariant"):
-        _verify_blocks(dec, images)
+def test_wedderburn_rejects_eigenvalues_that_are_not_the_vectors_own(monkeypatch):
+    G = disjoint_pair_z2()
+    _, P = pair_block_and_characters(block_decomposition(G, seed=1))
+
+    def edit(w, V):
+        w[columns_of(V, P)[0]] += 1e-6  # far above BLOCK_TOL, far below the gaps
+
+    tamper_eigh(monkeypatch, edit)
+    with pytest.raises(AmbiguityError, match="not certified invariant"):
+        block_decomposition(G, seed=1)
 
 
-def test_verify_blocks_rejects_a_nonzero_product_outside_the_table():
+def test_verify_blocks_rejects_a_nonzero_product_outside_the_table(monkeypatch):
     G = disjoint_pair_z2()
     dec = block_decomposition(G, seed=1)
-    _verify_blocks(dec, dec.arrow_images)
     pair, P = pair_block_and_characters(dec)
-    # the trivial character of the group part mixed into one column of the
-    # pair block: still an isometry, but the products across the two orbits
-    # are no longer killed
+    # the trivial character of the group part turned halfway into one column
+    # of the pair block: still an isometry, but the products across the two
+    # orbits are no longer killed
     trivial = max((b for b in dec.blocks if b.dim == 1),
-                  key=lambda b: sum(b.traces).real).isometry[:, 0]
+                  key=lambda b: sum(b.traces).real).isometry
     Q = pair.isometry.copy()
-    Q[:, 1] = (Q[:, 1] + trivial) / np.sqrt(2)
-    assert np.max(np.abs(Q.conj().T @ Q - np.eye(2))) < 1e-12
+    Q[:, 1] = (Q[:, 1] + trivial[:, 0]) / np.sqrt(2)
     X = dict(zip(G.arrows, dec.algebra.images(Q)))
     across = max(np.max(np.abs(X[a] @ X[b]))
                  for a, b in itertools.product(G.arrows, repeat=2)
                  if (a, b) not in G.compose_table)
     assert across > 0.1
-    fake = BlockDecomposition(dec.algebra, (replace(pair, isometry=Q),))
-    with pytest.raises(AmbiguityError, match="not invariant"):
-        _verify_blocks(fake, fake.arrow_images)
+
+    def edit(w, V):
+        rotate(V, columns_of(V, pair.isometry)[1], columns_of(V, trivial)[0], np.pi / 4)
+
+    tamper_eigh(monkeypatch, edit)
+    with pytest.raises(AmbiguityError, match="not certified invariant"):
+        block_decomposition(G, seed=1)
+
+
+def test_wedderburn_refuses_an_eigenvector_rotated_into_its_neighbouring_cluster(monkeypatch):
+    rng = rng_from_seed(40)
+    groupoids = [random_groupoid(rng, max_arrows=40) for _ in range(6)]
+    groupoids += [pair3_s3(), direct_product(pair_groupoid(["1", "2"]),
+                                             group_groupoid(dihedral_group_4()))]
+
+    def edit(w, V):
+        hi = np.flatnonzero(np.diff(w) > 1e-9)[0] + 1  # end of the first cluster
+        rotate(V, hi - 1, hi, 1e-6)
+
+    tamper_eigh(monkeypatch, edit)
+    for G in groupoids:
+        with pytest.raises(AmbiguityError, match="not certified invariant"):
+            block_decomposition(G, seed=4)
+
+
+def test_wedderburn_refuses_a_wrong_commutant_or_matches_the_right_one(monkeypatch):
+    import gcstar.spectrum as spectrum
+
+    def rolled(alg):
+        # each element's column coordinates rolled by one: no longer a commutant
+        return [(rows, np.roll(cols, 1)) for rows, cols in commutant_basis(alg)]
+
+    rng = rng_from_seed(41)
+    groupoids = [random_groupoid(rng, max_arrows=40) for _ in range(20)]
+    groupoids += [pair3_s3(), group_groupoid(symmetric_group_3())]
+    refused = 0
+    for G in groupoids:
+        cover = random_admissible_cover(rng, G)
+        good = block_decomposition(G, seed=2)
+        census = [(b.label, b.dim, b.multiplicity) for b in good.blocks]
+        verdict = verify_spectrum_decomposition(G, cover, seed=2, dec=good)
+        with monkeypatch.context() as m:
+            m.setattr(spectrum, "commutant_basis", rolled)
+            try:
+                dec = block_decomposition(G, seed=2)
+            except AmbiguityError:
+                refused += 1
+                continue
+            rep = verify_spectrum_decomposition(G, cover, seed=2, dec=dec)
+        assert [(b.label, b.dim, b.multiplicity) for b in dec.blocks] == census
+        assert (rep.ok, rep.images) == (verdict.ok, verdict.images)
+    assert refused >= len(groupoids) - 2
 
 
 def test_concrete_algebra_rejects_a_table_without_the_adjoint_law(monkeypatch):
@@ -486,6 +561,51 @@ def test_invariance_residuals_bound_the_all_pairs_product_check():
             pairwise = pairwise_product_error(alg, R)
             residual = np.max(invariance_residuals(alg, R))
             assert 1e-8 < pairwise <= residual
+
+
+def test_invariance_bound_dominates_the_dense_residuals(monkeypatch):
+    # The certificate _verify_blocks compares with BLOCK_TOL is the sin-theta
+    # bound plus the isometry defect; at the rounding floor (~1e-16) a block's
+    # own defect, not its angle, can set the dense residual.
+    import gcstar.spectrum as spectrum
+
+    seen, verify = [], spectrum._verify_blocks
+
+    def recorded(dec, images, bounds):
+        seen.extend(zip(dec.blocks, bounds, itertools.repeat(dec.algebra)))
+        return verify(dec, images, bounds)
+
+    monkeypatch.setattr(spectrum, "_verify_blocks", recorded)
+    rng = rng_from_seed(31)
+    groupoids = [random_groupoid(rng, max_arrows=40) for _ in range(6)]
+    groupoids.append(pair3_s3())
+    for G in groupoids:
+        block_decomposition(G, seed=12)
+    assert len(seen) >= 30
+    for b, bound, alg in seen:
+        Q = b.isometry
+        certificate = bound + np.linalg.norm(Q.conj().T @ Q - np.eye(b.dim))
+        residual = np.max(invariance_residuals(alg, Q.astype(np.clongdouble)))
+        assert residual <= certificate < BLOCK_TOL
+
+
+def test_invariance_bound_holds_for_an_inexact_eigenbasis():
+    # T = diag(0, g, 1).  The first vector leans toward e1 by alpha; the other
+    # two are turned toward each other by phi, so their Rayleigh values lie
+    # far from g: the computed gap overstates T's own, and only the Weyl
+    # slack (the residual of the bad vectors) takes that back.
+    g, alpha, phi = 0.1, 1e-3, 0.7
+    T = np.diag([0.0, g, 1.0]).astype(complex)
+    V = np.eye(3, dtype=complex)
+    rotate(V, 0, 1, alpha)
+    rotate(V, 1, 2, phi)
+    w = np.einsum("ij,ik,kj->j", V.conj(), T, V).real
+    assert np.all(np.diff(w) > 0.1)
+    A = np.diag([1.0, -1.0, 1.0])  # commutes with T, and ||A|| = 1
+    Q = V[:, :1]
+    residual = np.linalg.norm(A @ Q - Q @ (Q.conj().T @ A @ Q))
+    (bound,) = _invariance_bounds(T, w, V, [(0, 1)])
+    assert residual > 1e-3 and bound >= residual
 
 
 def test_prim_partition_examples():
