@@ -384,7 +384,6 @@ class FredholmVerdict:
     fredholm: bool
     minus: SymbolCheck
     plus: SymbolCheck
-    method: str = "symbolic"
 
     def end(self, which):
         return self.minus if which == "minus" else self.plus

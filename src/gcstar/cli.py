@@ -132,6 +132,8 @@ def cmd_verify_decomposition(args, config):
 
 
 def cmd_induction_checks(args, config):
+    if args.trials <= 0:
+        raise InputError("trials must be positive")
     G = load_groupoid(resolve_input(args.groupoid))
     subsets = load_cover(resolve_input(args.subsets))
     report = Report("induction-checks", config.seed)

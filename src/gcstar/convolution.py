@@ -49,10 +49,6 @@ class ArrowFunction:
         f.parent, f.vec = parent, np.asarray(vec, dtype=complex)
         return f
 
-    @classmethod
-    def zero(cls, parent):
-        return cls(parent)
-
     @property
     def values(self):
         """The nonzero values, a read-only ``{id: value}`` view in arrow order."""
@@ -136,9 +132,6 @@ class RepMatrix:
 
     basis: tuple
     matrix: np.ndarray
-
-    def norm(self):
-        return operator_norm(self.matrix)
 
 
 def operator_norm(M):

@@ -11,10 +11,12 @@ condition asks for
       whose endpoints match must be presentable inside one common piece.
 
 Under the condition, the fibered coproduct -- the disjoint union of the
-pieces' arrows modulo the identifications, realised here by union-find --
-carries a groupoid structure over X, and each reduction to U_i is
-isomorphic to the i-th piece.  :func:`glue` builds its tables in one pass
-over each piece's tables, mapped through the identification classes.
+pieces' arrows modulo the identifications -- carries a groupoid structure
+over X, and each reduction to U_i is isomorphic to the i-th piece.  By the
+cocycle laws the class of an arrow is just the set of its presentations in
+the pieces (:attr:`GluingFamily.presentations`, built once per family), so
+:func:`glue` needs no closure: it maps each piece's tables through the
+classes in one pass.
 
 Because all pieces live over subsets of the same X, overlap isomorphisms
 must fix units; a morphism that moves units is reported as a violation
@@ -24,12 +26,12 @@ longer be a groupoid over X.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .errors import AmbiguityError, GluingConditionError, InputError
-from .groupoid import (FiniteGroupoid, GroupoidMorphism, UnionFind, reduction,
-                       validate)
+from .groupoid import FiniteGroupoid, GroupoidMorphism, reduction, validate
 
 
 class GluingFamily:
@@ -74,11 +76,16 @@ class GluingFamily:
         if stray:
             raise InputError(f"isomorphisms given for non-overlapping pairs {sorted(stray)}")
 
-    def phi(self, i, j):
-        """The overlap isomorphism from piece i to piece j (identity if i == j)."""
-        if i == j:
-            return GroupoidMorphism.identity(self.pieces[i])
-        return self.isos[(i, j)]
+    @functools.cached_property
+    def presentations(self):
+        """Each arrow (i, g) of a piece -> {piece k: the arrow presenting it
+        in k}, with k = i first; keys in ascending (piece, arrow id) order."""
+        presented = {(i, g): {i: g} for i, piece in enumerate(self.pieces)
+                     for g in piece.arrows}
+        for (i, k), phi in self.isos.items():
+            for g, img in phi.arrow_map.items():
+                presented[i, g][k] = img
+        return presented
 
 
 def _overlap_isomorphism(i, j, src, dst, arrow_map):
@@ -142,23 +149,19 @@ def check_weak_gluing(family):
                 pinning.append((i, j, x, phi.unit_map[x]))
 
     # Cocycle over ordered triples; (i, j, i) recovers phi_ij o phi_ji = id.
+    # phi_ji(g) and phi_ki(g) are defined exactly when pieces j and k both
+    # present g, and then the chart of g in j must present it in k as well.
+    pieces, presented = family.pieces, family.presentations
     for i, j, k in itertools.product(range(n), repeat=3):
-        triple_overlap = family.cover[i] & family.cover[j] & family.cover[k]
-        if len({i, j, k}) == 1 or not triple_overlap:
-            continue
-        phi_ji, phi_kj, phi_ki = family.phi(i, j), family.phi(j, k), family.phi(i, k)
-        piece = family.pieces[i]
-        for g in piece.arrows:
-            if piece.dom[g] in triple_overlap and piece.ran[g] in triple_overlap:
-                via = phi_kj.arrow_map.get(phi_ji.arrow_map.get(g))
-                direct = phi_ki.arrow_map.get(g)
-                if via != direct:
-                    cocycle.append((i, j, k, g, via, direct))
+        for g in pieces[i].arrows:
+            charts = presented[i, g]
+            if j in charts and k in charts:
+                via = presented[j, charts[j]].get(k)
+                if via != charts[k]:
+                    cocycle.append((i, j, k, g, via, charts[k]))
 
     # Lifting of composable pairs across pieces.  A pair inside one piece
     # lifts to that piece, so only ordered pairs of distinct pieces can fail.
-    pieces, presented = family.pieces, _presentations(family)
-
     def lifts(pres_g, pres_h):  # some piece presents both, composably
         return any(k in pres_h and pieces[k].dom[gk] == pieces[k].ran[pres_h[k]]
                    for k, gk in pres_g.items())
@@ -173,41 +176,31 @@ def check_weak_gluing(family):
     return GluingReport(tuple(pinning), tuple(cocycle), tuple(lifting))
 
 
-def _presentations(family):
-    """Each arrow (i, g) of a piece -> {piece k: the arrow presenting it in k}."""
-    presented = {(i, g): {i: g} for i, piece in enumerate(family.pieces)
-                 for g in piece.arrows}
-    for (i, k), phi in family.isos.items():
-        for g, img in phi.arrow_map.items():
-            presented[i, g][k] = img
-    return presented
-
-
 def glue(family):
     """The fibered coproduct of a family satisfying the weak gluing condition.
 
     Refuses (GluingConditionError) when the condition fails.  Otherwise every
-    piece's tables are mapped once through the identification classes; two
-    charts that disagree about an entry raise AmbiguityError rather than
-    being broken silently.
+    piece's tables are mapped once through the classes of presentations; two
+    charts that disagree about a class or an entry raise AmbiguityError
+    rather than being broken silently.
     """
     report = check_weak_gluing(family)
     if not report.ok:
         raise GluingConditionError(report)
 
-    tokens = [(i, g) for i, piece in enumerate(family.pieces) for g in piece.arrows]
-    uf = UnionFind(tokens)
-    for (i, j), phi in family.isos.items():
-        for g, img in phi.arrow_map.items():
-            uf.union((i, g), (j, img))
-    # tokens are in ascending order, so numbering each class when it first
-    # appears keeps glued arrow ids independent of the union-find roots
-    new_id = {}
-    glued = {t: new_id.setdefault(uf.find(t), len(new_id)) for t in tokens}
-
     def put(table, key, value, what):
         if table.setdefault(key, value) != value:
             raise AmbiguityError(f"charts disagree about the {what} {key!r}")
+
+    # Under the cocycle laws an arrow's class is the set of its presentations;
+    # each class is named by the first of them in (piece, id) order and
+    # numbered where that name falls in the same order.
+    presented, first = family.presentations, {}
+    for charts in presented.values():
+        for token in charts.items():
+            put(first, token, min(charts.items()), "class of the arrow")
+    number = {t: n for n, t in enumerate(t for t in presented if first[t] == t)}
+    glued = {t: number[first[t]] for t in presented}
 
     dom, ran, inverse, unit_arrow, compose = {}, {}, {}, {}, {}
     for i, piece in enumerate(family.pieces):

@@ -461,25 +461,6 @@ def saturation(G, U):
     return frozenset(itertools.compress(G.units, reached))
 
 
-class UnionFind:
-    """Disjoint sets with path halving; ``union(a, b)`` puts a's root under b's."""
-
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def orbits(G):
     """Partition of the units into reachability classes, listed by their
     first unit in unit order.  Computed once per groupoid, from one pass over
@@ -666,10 +647,6 @@ class GroupoidMorphism:
         self.target = target
         self.unit_map = dict(unit_map)
         self.arrow_map = dict(arrow_map)
-
-    @classmethod
-    def identity(cls, G):
-        return cls(G, G, {x: x for x in G.units}, {g: g for g in G.arrows})
 
     def check(self):
         """List of violated morphism laws (empty when structural)."""

@@ -33,8 +33,7 @@ import numpy as np
 
 from .convolution import ArrowFunction, operator_norm, reduced_norm
 from .errors import AmbiguityError, CoverPreconditionError, InputError
-from .groupoid import (UnionFind, _check_subset, orbit_bases, reduction, saturation,
-                       validate)
+from .groupoid import _check_subset, orbit_bases, reduction, saturation, validate
 
 CLUSTER_TOL = 1e-9
 # Gaps between genuinely degenerate eigenvalues sit at the noise floor
@@ -250,7 +249,7 @@ def _cluster_eigenvalues(eigenvalues, tol, gray):
     return list(zip(splits[:-1], splits[1:]))
 
 
-def wedderburn(alg, seed=0, cluster_tol=CLUSTER_TOL):
+def wedderburn(alg, seed=0):
     """Split the concrete algebra into its simple blocks.
 
     Deterministic given (algebra, seed).  Block labels are canonical: they
@@ -266,7 +265,7 @@ def wedderburn(alg, seed=0, cluster_tol=CLUSTER_TOL):
         T[rows, cols] = c
     T = (T + T.conj().T) / 2.0
     eigenvalues, vectors = np.linalg.eigh(T)
-    clusters = _cluster_eigenvalues(eigenvalues, cluster_tol, CLUSTER_GRAY_ZONE)
+    clusters = _cluster_eigenvalues(eigenvalues, CLUSTER_TOL, CLUSTER_GRAY_ZONE)
 
     groups = []
     for (lo, hi) in clusters:
@@ -675,12 +674,14 @@ def morita_reduction_data(G, U):
 
 def _quotient_bijects(Z, moves, label, target):
     """Whether the classes of Z under z ~ moves[i] (for z = Z[i]; -1 is no
-    move) are the fibers of ``label`` over the units flagged in ``target``."""
+    move) are the fibers of ``label`` over the units flagged in ``target``.
+    An orbit of a groupoid action is one move wide, so one pass labels each
+    class by its least member, as :func:`orbits` labels orbits; a move that
+    joins two such labels is no action's, and the check reads false."""
     i, j = np.nonzero(moves >= 0)
-    classes = UnionFind(Z.tolist())
-    for z, w in zip(Z[i].tolist(), moves[i, j].tolist()):
-        classes.union(z, w)
-    labels = np.unique(label[Z])
-    return (np.array_equal(label[moves[i, j]], label[Z[i]])  # one label per class
-            and len({classes.find(z) for z in Z.tolist()}) == len(labels)
-            and np.array_equal(labels, np.flatnonzero(target)))
+    least = np.arange(len(label))
+    np.minimum.at(least, Z[i], moves[i, j])
+    classes = np.unique(least[Z])
+    return (np.array_equal(least[moves[i, j]], least[Z[i]])  # one move wide
+            and np.array_equal(label[least[Z]], label[Z])  # one label per class
+            and np.array_equal(np.sort(label[classes]), np.flatnonzero(target)))

@@ -28,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SPECTRUM = "tests/test_spectrum.py::"
+GLUING = "tests/test_gluing.py::"
 
 # (name, file under src/gcstar, old text, new text, test ids that must fail)
 MUTANTS = [
@@ -35,7 +36,7 @@ MUTANTS = [
     ("eigenvector-rotated", "spectrum.py",
      "    eigenvalues, vectors = np.linalg.eigh(T)\n",
      "    eigenvalues, vectors = np.linalg.eigh(T)\n"
-     "    for hi in np.flatnonzero(np.diff(eigenvalues) > cluster_tol)[:1] + 1:\n"
+     "    for hi in np.flatnonzero(np.diff(eigenvalues) > CLUSTER_TOL)[:1] + 1:\n"
      "        c, s = np.cos(1e-6), np.sin(1e-6)\n"
      "        vectors[:, [hi - 1, hi]] = vectors[:, [hi - 1, hi]] @ np.array([[c, -s], [s, c]])\n",
      [SPECTRUM + "test_wedderburn_z3_matches_discrete_fourier_characters",
@@ -87,6 +88,23 @@ MUTANTS = [
      "dstebz(diag, off, 1, -t, t, 0, 0, 2 * t, b\"B\")",
      "dstebz(diag, off, 1, -2 * t, t, 0, 0, 2 * t, b\"B\")",
      ["tests/test_bandops.py"]),
+    # -- gluing classes and linking-data orbits read one move wide ---------------
+    ("glue-class-named-last", "gluing.py",
+     "min(charts.items())",
+     "max(charts.items())",
+     [GLUING + "test_glue_nested_cover_recovers_the_groupoid"]),
+    ("cocycle-via-own-chart", "gluing.py",
+     "via = presented[j, charts[j]].get(k)",
+     "via = charts.get(k)",
+     [GLUING + "test_unit_swap_fault_is_reported_as_cocycle_failure"]),
+    ("glue-class-assigned", "gluing.py",
+     'put(first, token, min(charts.items()), "class of the arrow")',
+     "first[token] = min(charts.items())",
+     [GLUING + "test_glue_refuses_presentations_that_disagree_about_a_class"]),
+    ("quotient-one-move-dropped", "spectrum.py",
+     "np.array_equal(least[moves[i, j]], least[Z[i]])  # one move wide",
+     "True  # one move wide",
+     [SPECTRUM + "test_quotient_check_reads_false_when_moves_are_not_one_move_wide"]),
 ]
 
 

@@ -5,6 +5,9 @@ from pathlib import Path
 import pytest
 
 from gcstar.cli import main
+from gcstar.fixtures import bmodel_family
+from gcstar.gluing import glue
+from gcstar.serialization import groupoid_to_dict
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -87,7 +90,7 @@ def test_glue_success_and_emission(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "arrows: 11" in out
     assert "reductions-isomorphic-to-pieces: true" in out
-    assert emitted.exists()
+    assert json.loads(emitted.read_text()) == groupoid_to_dict(glue(bmodel_family()))
 
 
 def test_glue_failures(capsys):
@@ -257,10 +260,16 @@ def test_repeated_sizes_are_exit_2(capsys):
      fixture("subsets_induction.json"), "--tol-norm", "nan"),
     ("suite", "--seed", "-1"),
     ("spectrum", fixture("pair3.json"), "--seed", "-1"),
+    # with no function drawn, every norm row would pass vacuously
+    ("induction-checks", fixture("pair3.json"), "--subsets",
+     fixture("subsets_induction.json"), "--trials", "0"),
+    ("induction-checks", fixture("pair3.json"), "--subsets",
+     fixture("subsets_induction.json"), "--trials", "-2"),
 ])
 def test_non_finite_tolerances_and_negative_seeds_are_exit_2(argv, capsys):
     assert run(*argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # refused before any check runs
     assert err.startswith("input error:") and "Traceback" not in err
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from gcstar.errors import AmbiguityError, GluingConditionError, InputError
 from gcstar.fixtures import (bmodel_family, disjoint_cover_family,
-                             faulty_family, nested_family, unliftable_family)
+                             faulty_family, nested_family, pair3, unliftable_family)
 from gcstar import gluing
 from gcstar.gluing import (GluingFamily, GluingReport, check_weak_gluing,
                            family_from_reductions, glue)
@@ -50,6 +50,21 @@ def test_glue_raises_ambiguity_when_charts_disagree(monkeypatch):
         glue(faulty_family())
 
 
+def test_glue_refuses_presentations_that_disagree_about_a_class(monkeypatch):
+    # three copies of Z3 over one unit: the maps 0-1 and 1-2 are identities but
+    # 0-2 inverts, so arrow 1 of piece 1 is presented by arrow 1 of piece 2
+    # while arrow 1 of piece 0, which it presents, is presented by arrow 2
+    Z3 = group_groupoid(FiniteGroup.cyclic(3), unit="z")
+    same, twist = {0: 0, 1: 1, 2: 2}, {0: 0, 1: 2, 2: 1}
+    fam = GluingFamily([{"z"}] * 3, [Z3] * 3,
+                       {(0, 1): same, (1, 0): same, (1, 2): same, (2, 1): same,
+                        (0, 2): twist, (2, 0): twist})
+    assert check_weak_gluing(fam).cocycle_failures
+    monkeypatch.setattr(gluing, "check_weak_gluing", lambda family: GluingReport((), (), ()))
+    with pytest.raises(AmbiguityError, match="charts disagree about the class"):
+        glue(fam)
+
+
 def test_glue_and_replay_on_random_families():
     outcomes = {"glued": 0, "refused": 0}
     for seed in range(40):
@@ -83,12 +98,14 @@ def test_glue_single_piece_is_the_piece():
 
 
 def test_glue_nested_cover_recovers_the_groupoid():
-    G = pair_groupoid(["1", "2", "3"])
-    fam = nested_family()
-    glued = glue(fam)
+    # each class is numbered where its first presentation falls in (piece, id)
+    # order; the first piece is all of pair3, so its tables come back unchanged
+    glued, G = glue(nested_family()), pair3()
     assert validate(glued).ok
-    assert glued.n_arrows() == 9
-    assert groupoid_isomorphism(glued, G) is not None
+    assert glued.units == G.units and glued.arrows == G.arrows
+    assert glued.dom == G.dom and glued.ran == G.ran
+    assert glued.inverse == G.inverse and glued.unit_arrow == G.unit_arrow
+    assert glued.compose_table == G.compose_table
 
 
 def test_glue_disjoint_cover_gives_disjoint_union():
@@ -157,14 +174,13 @@ def test_product_of_gluings_is_gluing_of_products():
             overlap = cover[a] & cover[b]
             if not overlap:
                 continue
-            phi = fam1.phi(i, k)
-            psi = fam2.phi(j, l)
             _, decode_a = codecs[a]
             encode_b, _ = codecs[b]
             maps[(a, b)] = {}
             for pid in reduction(pieces[a], overlap).arrows:
                 g, h = decode_a(pid)
-                maps[(a, b)][pid] = encode_b(phi.arrow_map[g], psi.arrow_map[h])
+                maps[(a, b)][pid] = encode_b(fam1.presentations[i, g][k],
+                                             fam2.presentations[j, h][l])
     prod_family = GluingFamily(cover, pieces, maps)
     assert check_weak_gluing(prod_family).ok
     lhs = glue(prod_family)

@@ -277,7 +277,7 @@ def test_relabel_units_preserves_structure():
 
 def test_morphism_identity_checks_clean():
     G = swap_action()
-    phi = GroupoidMorphism.identity(G)
+    phi = GroupoidMorphism(G, G, {x: x for x in G.units}, {g: g for g in G.arrows})
     assert phi.check() == []
     assert phi.is_isomorphism()
 

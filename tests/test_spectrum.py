@@ -804,6 +804,20 @@ def test_morita_examples():
     assert rep.ok and rep.saturation == {"3"}
 
 
+def test_quotient_check_reads_false_when_moves_are_not_one_move_wide():
+    from gcstar.spectrum import _quotient_bijects
+    Z, one_label = np.arange(3), np.zeros(3, dtype=int)
+    closed = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    assert _quotient_bijects(Z, closed, one_label, np.array([True]))
+    # 0 -> 1 -> 2 closes to one class with one label, but no move joins 0 and 2
+    chain = np.array([[0, 1], [1, 2], [2, -1]])
+    assert not _quotient_bijects(Z, chain, one_label, np.array([True]))
+    # 0 -> 1 joins elements of different labels, which each map alone to a
+    # target unit: only the one-move check sees that the move crosses labels
+    cross = np.array([[0, 1], [1, -1], [2, -1]])
+    assert not _quotient_bijects(Z, cross, np.arange(3), np.ones(3, dtype=bool))
+
+
 def test_morita_randomized():
     rng = rng_from_seed(27)
     for _ in range(15):
@@ -826,14 +840,15 @@ def test_empty_cover_member_contributes_nothing():
     assert rep.images[2] == frozenset()
 
 
-def test_wedderburn_cluster_ambiguity_is_loud():
+def test_wedderburn_cluster_ambiguity_is_loud(monkeypatch):
+    from gcstar import spectrum
     from gcstar.errors import AmbiguityError
-    from gcstar.spectrum import wedderburn
     alg = concrete_algebra(z3_groupoid())
     # an absurd clustering tolerance merges inequivalent blocks; the exact
     # dimension census catches it instead of reporting a wrong decomposition
+    monkeypatch.setattr(spectrum, "CLUSTER_TOL", 100.0)
     with pytest.raises(AmbiguityError):
-        wedderburn(alg, seed=1, cluster_tol=100.0)
+        spectrum.wedderburn(alg, seed=1)
 
 
 def test_block_norms_and_batched_multiplicities_match_the_old_definitions():
