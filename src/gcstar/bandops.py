@@ -402,19 +402,13 @@ class LocalityReport:
     right_fredholm: bool
     two_sided: FredholmVerdict
 
-    @property
-    def conjunction_identity(self):
-        return self.two_sided.fredholm == (self.left_fredholm and self.right_fredholm)
-
 
 def locality_check(A, grid=DEFAULT_GRID, tol=DEFAULT_SYMBOL_TOL):
     """One-sided verdicts from each half line, beside the two-sided verdict.
 
     The half containing an end sees exactly one limit symbol, so the
-    one-sided verdict is that symbol's invertibility.  Both are read off the
-    symbol checks of the two-sided verdict itself, so the conjunction
-    identity holds by construction: the report restates the verdict per
-    side, it does not test it.
+    one-sided verdict is that symbol's invertibility, read off the symbol
+    checks of the two-sided verdict itself.
     """
     verdict = fredholm_verdict(A, grid, tol)
     return LocalityReport(verdict.minus.invertible, verdict.plus.invertible,

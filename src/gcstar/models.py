@@ -26,6 +26,10 @@ boundary symbol bounded below by 1, while the unshifted one touches zero.
 The interior end of the grid does not belong to the model; it is windowed
 into the core by cutting the couplings across the bond at -n ("grid size"
 n), a finite-rank modification that leaves both limit symbols untouched.
+
+The asymptotically hyperbolic model, whose action is
+(x1, ..., xn) . (t, xi2, ..., xin) = (t x1, x2 + x1 xi2, ..., xn + x1 xin),
+is not discretized here.
 """
 
 from __future__ import annotations
@@ -36,11 +40,6 @@ from .bandops import BandOperator, Diagonal, LaurentSymbol
 from .errors import InputError
 
 GEOMETRIES = ("b", "cusp", "scattering")
-
-# Registered for documentation only: the asymptotically hyperbolic model
-# acts by (x1, ..., xn) . (t, xi2, ..., xin) =
-# (t x1, x2 + x1 xi2, ..., xn + x1 xin); it is not discretized here.
-HYPERBOLIC_ACTION_NOTE = "(t x1, x2 + x1 xi2, ..., xn + x1 xin)"
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,19 @@ MUTANTS = [
      "np.array_equal(least[moves[i, j]], least[Z[i]])  # one move wide",
      "True  # one move wide",
      [SPECTRUM + "test_quotient_check_reads_false_when_moves_are_not_one_move_wide"]),
+    # -- the exact flags of the induced-representation unitary -------------------
+    ("unitary-isometric-forced", "spectrum.py",
+     "isometric = (np.all(image[rows] == image[cols])",
+     "isometric = True or (np.all(image[rows] == image[cols])",
+     [SPECTRUM + "test_phi_isometry_reads_false_on_a_broken_table"]),
+    ("unitary-intertwining-forced", "spectrum.py",
+     "intertwining = all(",
+     "intertwining = True or all(",
+     [SPECTRUM + "test_phi_isometry_reads_false_on_a_broken_table"]),
+    ("unitary-onto-forced", "spectrum.py",
+     "onto = np.array_equal(np.unique(image[hit]), fiber_full)",
+     "onto = True",
+     [SPECTRUM + "test_phi_isometry_reads_false_on_a_broken_table"]),
 ]
 
 

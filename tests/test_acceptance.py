@@ -23,7 +23,7 @@ def _report(result, budget=None):
 
 
 def test_criterion_1_groupoid_algebra_axioms():
-    _report(criterion_algebra_axioms(seed=SEED, instances=200, tol=1e-9),
+    _report(criterion_algebra_axioms(seed=SEED, instances=200),
             budget=60.0)
 
 
@@ -33,12 +33,11 @@ def test_criterion_2_spectrum_decomposition():
 
 
 def test_criterion_3_induced_representation_unitary():
-    _report(criterion_phi_isometry(seed=SEED + 2, instances=50, tol=1e-8))
+    _report(criterion_phi_isometry(seed=SEED + 2, instances=50))
 
 
 def test_criterion_4_norm_estimates():
-    _report(criterion_norm_estimates(seed=SEED + 3, instances=20, trials=5,
-                                     tol=1e-9))
+    _report(criterion_norm_estimates(seed=SEED + 3, instances=20, trials=5))
 
 
 def test_criterion_5_linking_data():
@@ -51,13 +50,12 @@ def test_criterion_6_limit_operator_verdicts():
 
 def test_criterion_7_finite_section_cross_validation():
     _report(criterion_finite_sections(seed=SEED + 6, per_class=20,
-                                      sizes=(256, 512, 1024), eps=1e-6,
-                                      required_rate=0.95),
+                                      sizes=(256, 512, 1024)),
             budget=300.0)
 
 
 def test_criterion_8_model_geometries():
-    _report(criterion_model_geometries(grid=8192, tol=1e-8))
+    _report(criterion_model_geometries())
 
 
 def test_criterion_9_gluing():

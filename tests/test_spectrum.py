@@ -6,8 +6,8 @@ import pytest
 
 from gcstar.convolution import ArrowFunction, regular_rep
 from gcstar.errors import CoverPreconditionError, InputError
-from gcstar.fixtures import (disjoint_pair_z2, pair2, pair3, swap_action,
-                             z2_groupoid, z3_groupoid)
+from gcstar.fixtures import (broken_pair3, disjoint_pair_z2, pair2, pair3,
+                             swap_action, z2_groupoid, z3_groupoid)
 from gcstar.errors import AmbiguityError
 from gcstar.groupoid import (FiniteGroup, direct_product, disjoint_union,
                              group_groupoid, isotropy, orbits, pair_groupoid,
@@ -673,14 +673,28 @@ def test_invariant_subset_splits_the_spectrum():
 
 def test_phi_isometry_examples():
     rep = check_phi_isometry(pair2(), {"1"}, "1")
-    assert rep.ok and rep.fiber_dim == 2 and rep.max_residual() < 1e-10
+    assert rep.ok and rep.fiber_dim == 2
 
     G = pair3()
     rep = check_phi_isometry(G, set(G.units), "2")
-    assert rep.ok and rep.max_residual() < 1e-10
+    assert (rep.isometric, rep.intertwining, rep.onto) == (True, True, True)
 
     rep = check_phi_isometry(disjoint_pair_z2(), {"3"}, "3")
-    assert rep.ok and rep.max_residual() < 1e-10
+    assert rep.ok
+
+
+@pytest.mark.parametrize("U, x, flags", [
+    ({"1", "2"}, "1", (False, False, False)),
+    ({"1"}, "1", (False, False, True)),
+    ({"2", "3"}, "2", (True, True, True)),
+    ({"2", "3"}, "3", (True, True, True)),
+])
+def test_phi_isometry_reads_false_on_a_broken_table(U, x, flags):
+    # one product of pair3 redirected to a wrong arrow: the unitary check
+    # reads each flag off the table, so the broken entry shows where U sees it
+    rep = check_phi_isometry(broken_pair3(), U, x)
+    assert (rep.isometric, rep.intertwining, rep.onto) == flags
+    assert rep.ok == all(flags)
 
 
 def test_phi_isometry_requires_membership():
@@ -711,6 +725,12 @@ def test_norm_estimate_examples():
 
     rep = check_norm_estimates(G, U, trials=30, seed=6)
     assert rep.ok
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_norm_estimates_refuse_to_draw_no_function(trials):
+    with pytest.raises(InputError, match="trials must be positive"):
+        check_norm_estimates(pair3(), {"1"}, trials=trials)
 
 
 def test_norm_estimates_randomized():
@@ -827,8 +847,6 @@ def test_morita_randomized():
 
 
 def test_wedderburn_rejects_non_groupoid():
-    from gcstar.errors import InputError
-    from gcstar.fixtures import broken_pair3
     with pytest.raises(InputError):
         concrete_algebra(broken_pair3())
 

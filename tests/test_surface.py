@@ -1,9 +1,9 @@
 """The library keeps only what its verdicts use.
 
-Every function, class and method defined in ``src/gcstar/`` must be named
-somewhere else in the package (outside its own definition and
-``__init__.py``) or in ``gcbench/``; a name that only tests reach belongs in
-the tests or nowhere.
+Every function, class, method and module-level constant defined in
+``src/gcstar/`` must be named somewhere else in the package (outside its own
+definition and ``__init__.py``) or in ``gcbench/``; a name that only tests
+reach belongs in the tests or nowhere.
 """
 
 import ast
@@ -37,8 +37,16 @@ def _names(node):
 
 
 def _definitions(tree):
+    """(name, defining node) of every function, class and method, and of
+    every name a module-level assignment binds."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return [node for node in ast.walk(tree) if isinstance(node, defs)]
+    found = [(node.name, node) for node in ast.walk(tree) if isinstance(node, defs)]
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(sub.id, node) for target in targets
+                      for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+    return found
 
 
 def unreached_names(package=PACKAGE):
@@ -57,8 +65,7 @@ def unreached_names(package=PACKAGE):
     for module, tree in modules.items():
         if module in EXEMPT:
             continue
-        for node in _definitions(tree):
-            name = node.name
+        for name, node in _definitions(tree):
             if name in EXEMPT or (name.startswith("__") and name.endswith("__")):
                 continue
             own = sum(1 for n in _names(node) if n == name)
@@ -69,3 +76,9 @@ def unreached_names(package=PACKAGE):
 
 def test_every_library_name_is_reached_outside_the_tests():
     assert unreached_names() == []
+
+
+def test_a_module_constant_that_nothing_names_is_reported(tmp_path):
+    (tmp_path / "a.py").write_text("USED = 1\nUNNAMED = 2\n\n\ndef f():\n    return USED\n")
+    (tmp_path / "b.py").write_text("from a import f\n\nf()\n")
+    assert unreached_names(tmp_path) == [("a.py", "UNNAMED")]
