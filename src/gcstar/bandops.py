@@ -673,31 +673,35 @@ def _dilation_counts(A, sizes, thresholds, norm):
     direction whose update ||y||^2 / |lambda| on the neighbours would exceed
     PIVOT_GROWTH * ||A|| joins the neighbour it couples to more strongly
     instead: pivoting in the eigenbasis, which bounds the growth of the
-    blocks.  Per threshold, the sections of all sizes share each level,
-    held as distinct blocks and couplings plus index arrays, so the linear
-    algebra runs once per distinct (block, left coupling, right coupling)
-    triple.  Padding unknowns stay exactly decoupled behind the live ones,
-    and each level keeps only as many as its largest block has live.
+    blocks.  All thresholds and sizes share each level, one chain per
+    (threshold, size), held as distinct blocks and couplings plus index
+    arrays, so the linear algebra runs once per distinct (block, left
+    coupling, right coupling) triple; the shifts touch only the diagonal
+    blocks.  Padding unknowns stay exactly decoupled behind the live ones,
+    and each level keeps as many as its largest block has live: every chain
+    is padded to the threshold that carries the most directions.
     """
-    pool, L0, live0, index = _dilation_blocks(A, sizes)
-    b, counts = pool.shape[-1], []
-    for t in thresholds:
-        D = pool + np.eye(b) * np.where(np.arange(b) < live0[:, None], t, norm)[:, None]
-        L, live, blocks, links = L0, live0, index, index
-        negative, level = 0, 0
-        while blocks.shape[1] > 1:
-            found, (D, L, live, blocks, links) = _reduction_level(D, L, live, blocks, links,
-                                                                  norm, level)
-            negative, level = negative + found, level + 1
-            if D.shape[-1] > 6 * b:     # bounds the rounding floor of a level
-                raise AmbiguityError(
-                    f"{D.shape[-1]}-dimensional block at level {level} of the section "
-                    "dilation: too many ill-conditioned directions carried")
-        last, at = np.unique(blocks[:, 0], return_inverse=True)
-        negative += _negative_pivots(np.linalg.eigvalsh(D[last]),
-                                     SCHUR_PIVOT_TOL * D.shape[-1], norm, level)[at]
-        counts.append([2 * N + 1 - int(k) for N, k in zip(sizes, negative)])
-    return counts
+    pool, L, live, index = _dilation_blocks(A, sizes)
+    b, T = pool.shape[-1], len(thresholds)
+    unknowns = np.arange(b) < live[:, None]
+    # threshold k: the k-th len(sizes) chains, over the k-th shifted pool
+    D = np.concatenate([pool + np.eye(b) * np.where(unknowns, t, norm)[:, None]
+                        for t in thresholds])
+    live, blocks = np.tile(live, T), np.vstack([index + k * len(pool) for k in range(T)])
+    links, negative, level = np.tile(index, (T, 1)), 0, 0
+    while blocks.shape[1] > 1:
+        found, (D, L, live, blocks, links) = _reduction_level(D, L, live, blocks, links,
+                                                              norm, level)
+        negative, level = negative + found, level + 1
+        if D.shape[-1] > 6 * b:     # bounds the rounding floor of a level
+            raise AmbiguityError(
+                f"{D.shape[-1]}-dimensional block at level {level} of the section "
+                "dilation: too many ill-conditioned directions carried")
+    last, at = np.unique(blocks[:, 0], return_inverse=True)
+    negative += _negative_pivots(np.linalg.eigvalsh(D[last]),
+                                 SCHUR_PIVOT_TOL * D.shape[-1], norm, level)[at]
+    return [[2 * N + 1 - int(k) for N, k in zip(sizes, row)]
+            for row in negative.reshape(T, len(sizes))]
 
 
 def finite_section_analysis(A, sizes, eps=DEFAULT_SECTION_EPS):
@@ -713,9 +717,9 @@ def finite_section_analysis(A, sizes, eps=DEFAULT_SECTION_EPS):
       from the two ends of the largest section's spectrum;
     * any other band counts the negative eigenvalues of its Golub-Kahan
       dilation shifted by t by block cyclic reduction, one level at a time
-      for all sizes over their distinct blocks, and takes the norm by
-      bisection with banded Cholesky on the Gram matrix of the largest
-      section.
+      for all sizes and both thresholds over their distinct blocks, and
+      takes the norm by bisection with banded Cholesky on the Gram matrix
+      of the largest section.
 
     The flag is a heuristic:
 

@@ -220,9 +220,13 @@ def cmd_model(args, config):
     else:
         if not args.geometry or not args.coefficients:
             raise InputError("either --spec or --geometry/--coefficients is required")
+        try:
+            coefficients = [float(c) for c in args.coefficients.split(",")]
+        except ValueError:
+            raise InputError(f"cannot parse coefficients {args.coefficients!r}") from None
         spec = model_spec_from_dict({
             "geometry": args.geometry,
-            "coefficients": [float(c) for c in args.coefficients.split(",")],
+            "coefficients": coefficients,
             "r": args.r, "n": args.n, "h": args.h,
         })
     A = discretize_model(spec)

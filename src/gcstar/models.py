@@ -62,12 +62,12 @@ class ModelOperatorSpec:
                            tuple(complex(c) for c in self.coefficients))
         if self.geometry not in GEOMETRIES:
             raise InputError(f"unknown geometry {self.geometry!r}")
-        if self.geometry == "cusp" and self.r < 1:
-            raise InputError("cusp exponent must be at least 1")
+        if self.geometry == "cusp" and not 1 <= self.r < float("inf"):
+            raise InputError("cusp exponent must be finite and at least 1")
         if self.n < 16:
             raise InputError("grid size must be at least 16")
-        if self.h <= 0:
-            raise InputError("grid step must be positive")
+        if not 0 < self.h < float("inf"):
+            raise InputError("grid step must be finite and positive")
         if not self.coefficients:
             raise InputError("at least one coefficient is required")
 

@@ -4,11 +4,13 @@ families: what the command line reads and writes.
 All formats are plain JSON.  Units are strings in files; arrow ids are JSON
 integers (a bool or a float is an input error), and no arrow record, table
 entry or overlap-map entry may repeat.  Complex numbers are encoded as
-[real, imag] pairs (bare reals are accepted when loading).
+[real, imag] pairs (bare reals are accepted when loading); a NaN or
+infinite coefficient is an input error.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import os
 
@@ -21,10 +23,14 @@ from .models import ModelOperatorSpec
 
 def _complex_in(v):
     if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise InputError(f"cannot read {v!r} as a complex number")
+        z = complex(v)
+    elif isinstance(v, (list, tuple)) and len(v) == 2:
+        z = complex(float(v[0]), float(v[1]))
+    else:
+        raise InputError(f"cannot read {v!r} as a complex number")
+    if not cmath.isfinite(z):       # no symbol scan, however fine, can refine it
+        raise InputError(f"coefficient {v!r} is not finite")
+    return z
 
 
 def _arrow_id(v):
@@ -124,12 +130,12 @@ def band_operator_from_dict(data):
     try:
         diags = {}
         for k, rec in data["diagonals"].items():
-            core = tuple((int(i), complex(float(re), float(im)))
+            core = tuple((int(i), _complex_in([re, im]))
                          for i, re, im in rec.get("core", []))
             diags[int(k)] = Diagonal(_complex_in(rec["limit_minus"]),
                                      _complex_in(rec["limit_plus"]), core)
         A = BandOperator(diags)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed band operator document: {exc}") from None
     if "bandwidth" in data and int(data["bandwidth"]) != A.bandwidth:
         raise InputError("stated bandwidth disagrees with the diagonals")
@@ -152,7 +158,7 @@ def model_spec_from_dict(data):
             n=int(data.get("n", 64)),
             h=float(data.get("h", 0.1)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed model document: {exc}") from None
 
 

@@ -29,6 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SPECTRUM = "tests/test_spectrum.py::"
 GLUING = "tests/test_gluing.py::"
+BANDOPS = "tests/test_bandops.py::"
 
 # (name, file under src/gcstar, old text, new text, test ids that must fail)
 MUTANTS = [
@@ -88,6 +89,20 @@ MUTANTS = [
      "dstebz(diag, off, 1, -t, t, 0, 0, 2 * t, b\"B\")",
      "dstebz(diag, off, 1, -2 * t, t, 0, 0, 2 * t, b\"B\")",
      ["tests/test_bandops.py"]),
+    # -- one block cyclic reduction for every threshold --------------------------
+    ("threshold-pools-merged", "bandops.py",
+     "np.vstack([index + k * len(pool) for k in range(T)])",
+     "np.vstack([index for k in range(T)])",
+     [BANDOPS + "test_counts_do_not_depend_on_how_thresholds_are_grouped",
+      BANDOPS + "test_general_band_sections_match_dense"]),
+    ("threshold-split-reversed", "bandops.py",
+     "for row in negative.reshape(T, len(sizes))]",
+     "for row in negative.reshape(T, len(sizes))[::-1]]",
+     [BANDOPS + "test_counts_do_not_depend_on_how_thresholds_are_grouped"]),
+    ("threshold-live-counts-repeated", "bandops.py",
+     "live, blocks = np.tile(live, T),",
+     "live, blocks = np.repeat(live, T),",
+     [BANDOPS + "test_counts_do_not_depend_on_how_thresholds_are_grouped"]),
     # -- gluing classes and linking-data orbits read one move wide ---------------
     ("glue-class-named-last", "gluing.py",
      "min(charts.items())",

@@ -363,6 +363,49 @@ def test_singular_block_schur_complement_raises():
         finite_section_analysis(A, [8, 16], 0.5)
 
 
+def test_counts_do_not_depend_on_how_thresholds_are_grouped(monkeypatch):
+    # all thresholds share one reduction; the eps reduction of some draws
+    # carries directions, and then the window's chains run padded to its
+    # larger blocks
+    reached, level = [], bandops._reduction_level
+
+    def recording(*args):
+        found, following = level(*args)
+        reached.append(following[0].shape[-1])
+        return found, following
+
+    monkeypatch.setattr(bandops, "_reduction_level", recording)
+    rng = rng_from_seed(7)
+    sizes, padded, checked = (24, 48, 96), 0, 0
+    for trial in range(8):
+        w = 1 + trial % 2
+        A = _general_band(rng, w)
+        norm = bandops._gram_norm(A, sizes[-1])
+        pair = (1e-6, bandops.MODERATE_FRACTION * norm)
+        alone, dims = [], []
+        for t in pair:
+            reached.clear()
+            alone += bandops._dilation_counts(A, sizes, (t,), norm)
+            dims.append(max(reached))
+        padded += dims[0] > max(2 * (w + 1), dims[1])
+        assert bandops._dilation_counts(A, sizes, pair, norm) == alone
+        assert bandops._dilation_counts(A, sizes, pair[::-1], norm) == alone[::-1]
+        svals = [np.linalg.svd(A.truncation(N), compute_uv=False) for N in sizes]
+        if all(np.min(np.abs(s - t)) > 1e-10 * s[0] for s in svals for t in pair):
+            assert alone == [[int(np.sum(s <= t)) for s in svals] for t in pair]
+            checked += 1
+    assert padded >= 1 and checked >= 6
+
+    # only the second threshold meets a singular Schur complement, and the
+    # stacked reduction raises as that threshold alone does
+    A = BandOperator.from_limits({0: (0.5, 0.5j)})
+    norm = bandops._gram_norm(A, 16)
+    assert bandops._dilation_counts(A, [8, 16], (1e-6,), norm) == [[0, 0]]
+    for pair in ((1e-6, 0.5), (0.5, 1e-6)):
+        with pytest.raises(AmbiguityError):
+            bandops._dilation_counts(A, [8, 16], pair, norm)
+
+
 def test_carried_directions_stay_bounded(monkeypatch):
     # with no growth allowed every coupled direction is carried, and the
     # sweep stops once more than four blocks' worth pile up

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,50 @@ def test_fredholm_command(capsys):
     assert "CONSISTENT-NONFREDHOLM" in out
 
 
+@pytest.mark.parametrize("name, rows", [
+    # a shift-dominated band: one index artifact per section, Fredholm
+    ("band_shift_complex.json",
+     ["fredholm: true", "minus-min-modulus: 1.4955643531",
+      "plus-min-modulus: 1.80429988889", "left-fredholm: true", "right-fredholm: true",
+      "counts-below-eps: [1, 1, 1]", "counts-below-window: [1, 1, 1]",
+      "window: 0.0530059696615", "flag: CONSISTENT-FREDHOLM", "ok: true"]),
+    # the plus symbol vanishes at theta = 0, a point of the scan grid
+    ("band_critical_complex.json",
+     ["fredholm: false", "minus-min-modulus: 2.5749195116", "plus-min-modulus: 0",
+      "left-fredholm: true", "right-fredholm: false",
+      "counts-below-eps: [0, 0, 0]", "counts-below-window: [7, 14, 27]",
+      "window: 0.0818197863514", "flag: CONSISTENT-NONFREDHOLM", "ok: true"]),
+])
+def test_fredholm_command_on_general_bands(name, rows, capsys):
+    # bandwidth 2, complex and not Hermitian: the sections go through the
+    # block cyclic reduction, not the Sturm counter
+    assert run("fredholm", fixture(name)) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [row for row in rows if row not in out] == []
+
+
+@pytest.mark.parametrize("where, text, message", [
+    ("limit_plus", "[NaN, 0.0]", "not finite"),
+    ("limit_plus", "Infinity", "not finite"),
+    ("limit_minus", "[0.0, -Infinity]", "not finite"),
+    ("core", "[[0, NaN, 0.0]]", "not finite"),
+    ("limit_plus", "1" + "0" * 400, "too large"),
+])
+def test_non_finite_band_coefficients_are_input_errors(tmp_path, capsys, where, text,
+                                                       message):
+    # json.load reads NaN and Infinity; no grid refinement can scan such a symbol
+    data = json.loads(Path(fixture("band_laplacian.json")).read_text())
+    data["diagonals"]["0"][where] = "@"
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps(data).replace('"@"', text))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # nor may a numpy warning leak out
+        assert run("fredholm", path) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error:") and message in err
+
+
 def test_model_command(tmp_path, capsys):
     data = tmp_path / "symbol.dat"
     assert run("model", "--spec", fixture("model_b.json"),
@@ -266,6 +311,12 @@ def test_repeated_sizes_are_exit_2(capsys):
      fixture("subsets_induction.json"), "--trials", "0"),
     ("induction-checks", fixture("pair3.json"), "--subsets",
      fixture("subsets_induction.json"), "--trials", "-2"),
+    # no grid refinement can scan a symbol with a NaN or infinite coefficient
+    ("model", "--geometry", "b", "--coefficients", "nan,1"),
+    ("model", "--geometry", "b", "--coefficients", "1,inf"),
+    ("model", "--geometry", "b", "--coefficients", "1,abc"),
+    ("model", "--geometry", "b", "--coefficients", "1,2", "--h", "nan"),
+    ("model", "--geometry", "cusp", "--coefficients", "1,2", "--r", "inf"),
 ])
 def test_non_finite_tolerances_and_negative_seeds_are_exit_2(argv, capsys):
     assert run(*argv) == 2
