@@ -31,6 +31,7 @@ from .errors import AmbiguityError, GridRefinementNeeded, InputError
 DEFAULT_GRID = 4096
 DEFAULT_SYMBOL_TOL = 1e-8
 DEFAULT_SECTION_EPS = 1e-6
+DEFAULT_SECTION_SIZES = (256, 512, 1024)
 
 # Rounding floors of the finite-section counts, u the unit roundoff:
 # * Sturm sweep (Hermitian tridiagonal sections): the count is exact for a
@@ -362,6 +363,8 @@ def symbol_invertible(sym, grid=DEFAULT_GRID, tol=DEFAULT_SYMBOL_TOL):
     degree = max((abs(k) for k, _ in sym.coefficients), default=0)
     if grid < 4 * (2 * degree + 1):
         raise InputError("grid is too coarse for the symbol degree")
+    if not 0 < tol < np.inf:
+        raise InputError("tol must be finite and positive")
     values = np.zeros(int(grid), dtype=complex)
     for k, c in sym.coefficients:  # the sum of LaurentSymbol.__call__, term by term
         values += c * _unit_circle_wave(int(grid), k)
@@ -427,6 +430,10 @@ class FiniteSectionReport:
     window: float           # the moderate threshold actually used
     norm_estimate: float    # largest singular value at the largest size
     flag: str               # CONSISTENT-FREDHOLM / CONSISTENT-NONFREDHOLM / INCONCLUSIVE
+
+
+# The Fredholm verdict each conclusive flag stands for; INCONCLUSIVE has none.
+FLAG_VERDICT = {"CONSISTENT-FREDHOLM": True, "CONSISTENT-NONFREDHOLM": False}
 
 
 def eigvals_banded(*args, **kwargs):
@@ -589,12 +596,12 @@ def _distinct(*index):
 def _eliminate(D, L, left, right, norm, level):
     """Eliminate blocks D between the couplings L[left] and L[right].
 
-    Returns their negative eigenvalues, G = Y* diag(1/lambda) Y over the
-    eliminated eigendirections (rows Y: the couplings to the left and right
-    block; its diagonal blocks are the updates of those blocks, the lower
-    off-diagonal one their new coupling) and the directions carried to the
-    left and to the right.  A last, null triple stands for the missing
-    neighbour at a chain's end.
+    Returns their negative eigenvalues, three blocks of G = Y* diag(1/lambda) Y
+    over the eliminated eigendirections (rows Y: the couplings to the left
+    and right block) -- its two diagonal blocks, the updates of those blocks,
+    and its lower off-diagonal one, their new coupling -- and the directions
+    carried to the left and to the right.  A last, null triple stands for
+    the missing neighbour at a chain's end.
     """
     lam, Y = np.linalg.eigh(D)                  # eigenvectors, then their couplings
     d = D.shape[-1]
@@ -605,7 +612,9 @@ def _eliminate(D, L, left, right, norm, level):
     defer = weight.sum(-1) > PIVOT_GROWTH * norm * np.abs(lam)
     negative = _negative_pivots(np.where(defer, norm, lam), SCHUR_PIVOT_TOL * d,
                                 norm, level)
-    G = Y.conj().swapaxes(1, 2) @ (Y / np.where(defer, np.inf, lam)[..., None])
+    Yh, scaled = Y.conj().swapaxes(1, 2), Y / np.where(defer, np.inf, lam)[..., None]
+    G = (Yh[:, :d] @ scaled[..., :d], Yh[:, d:] @ scaled[..., d:],
+         Yh[:, d:] @ scaled[..., :d])
     # a deferred direction joins the neighbour it couples to more strongly; per
     # side, the carried ones come first, padded to one count with decoupled
     # directions of eigenvalue norm
@@ -630,7 +639,8 @@ def _reduction_level(D, L, live, blocks, links, norm, level):
     """
     K, d = blocks.shape[1], D.shape[-1]
     (tb, tl, tr), inv = _distinct(blocks[:, 1::2], links[:, :K - 1:2], links[:, 1::2])
-    negative, G, (lamL, YL, rL), (lamR, YR, rR) = _eliminate(D[tb], L, tl, tr, norm, level)
+    negative, (Gll, Grr, Grl), (lamL, YL, rL), (lamR, YR, rR) = _eliminate(
+        D[tb], L, tl, tr, norm, level)
     # each even block between its two odd neighbours (or the null triple):
     # [updated block, directions carried from the right, from the left]
     K2, null = (K + 1) // 2, np.full((len(blocks), 1), len(tb))
@@ -639,7 +649,7 @@ def _reduction_level(D, L, live, blocks, links, norm, level):
     RL, RR = YL.shape[1], YR.shape[1]
     n = d + RL + RR
     raw = np.zeros((len(e), n, n), dtype=complex)
-    raw[:, :d, :d] = D[e] - G[tl, d:, d:] - G[tr, :d, :d]
+    raw[:, :d, :d] = D[e] - Grr[tl] - Gll[tr]
     raw[:, d:d + RL, :d] = YL[tr, :, :d]
     raw[:, d + RL:, :d] = YR[tl, :, d:]
     raw[:, :d, d:] = raw[:, d:, :d].conj().swapaxes(1, 2)
@@ -653,7 +663,7 @@ def _reduction_level(D, L, live, blocks, links, norm, level):
     # the coupling of two even neighbours, through the odd block between them
     (tm, lo, hi), at2 = _distinct(inv[:, :K2 - 1], at[:, :-1], at[:, 1:])
     raw = np.zeros((len(tm), n, n), dtype=complex)
-    raw[:, :d, :d] = -G[tm, d:, :d]
+    raw[:, :d, :d] = -Grl[tm]
     raw[:, :d, d:d + RL] = YL[tm, :, d:].conj().swapaxes(1, 2)
     raw[:, d + RL:, :d] = YR[tm, :, :d]
     L = np.concatenate([np.zeros((1,) + D.shape[1:]), raw[

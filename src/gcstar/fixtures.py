@@ -118,13 +118,13 @@ def shifted_laplacian_band():
                                     core={0: {0: -2.0, 1: 1.5}})
 
 
-def b_model_spec(shift=1.0, n=64, h=0.1):
-    return ModelOperatorSpec("b", coefficients=(shift, 0.0, 1.0), n=n, h=h)
+def b_model_spec(shift=1.0, **grid):
+    return ModelOperatorSpec("b", coefficients=(shift, 0.0, 1.0), **grid)
 
 
-def cusp_model_spec(shift=1.0, r=2.0, n=64, h=0.1):
-    return ModelOperatorSpec("cusp", coefficients=(shift, 0.0, 1.0), r=r, n=n, h=h)
+def cusp_model_spec(shift=1.0, **parameters):
+    return ModelOperatorSpec("cusp", coefficients=(shift, 0.0, 1.0), **parameters)
 
 
-def scattering_model_spec(shift=1.0, n=64, h=0.1):
-    return ModelOperatorSpec("scattering", coefficients=(shift, 0.0, 1.0), n=n, h=h)
+def scattering_model_spec(shift=1.0, **grid):
+    return ModelOperatorSpec("scattering", coefficients=(shift, 0.0, 1.0), **grid)

@@ -40,6 +40,8 @@ from .bandops import BandOperator, Diagonal, LaurentSymbol
 from .errors import InputError
 
 GEOMETRIES = ("b", "cusp", "scattering")
+# The numeric fields of a spec, and their types, as files and flags give them.
+MODEL_PARAMETERS = (("r", float), ("n", int), ("h", float))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ instances.  Random groupoids are disjoint unions of transitive pieces, each
 a pair groupoid times a cyclic isotropy group, with unit labels and arrow
 ids shuffled afterwards so nothing downstream can lean on the construction
 order.  Only cyclic isotropy is drawn, so the draws cover the finite
-groupoids with cyclic isotropy groups, not all of them (item 4 of ROADMAP.md).
+groupoids with cyclic isotropy groups, not all of them (see "Non-abelian
+isotropy in the random draws" in ROADMAP.md).
 """
 
 from __future__ import annotations

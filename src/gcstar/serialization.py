@@ -18,7 +18,7 @@ from .bandops import BandOperator, Diagonal
 from .errors import InputError
 from .gluing import GluingFamily
 from .groupoid import FiniteGroupoid
-from .models import ModelOperatorSpec
+from .models import MODEL_PARAMETERS, ModelOperatorSpec
 
 
 def _complex_in(v):
@@ -154,10 +154,7 @@ def model_spec_from_dict(data):
         return ModelOperatorSpec(
             geometry=str(data["geometry"]),
             coefficients=tuple(_complex_in(c) for c in data["coefficients"]),
-            r=float(data.get("r", 2.0)),
-            n=int(data.get("n", 64)),
-            h=float(data.get("h", 0.1)),
-        )
+            **{key: kind(data[key]) for key, kind in MODEL_PARAMETERS if key in data})
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed model document: {exc}") from None
 

@@ -393,7 +393,7 @@ class InductionResult:
                 and len(set(self.mapping.values())) == len(self.mapping))
 
 
-def induction_map(G, U, seed=0, dec=None, dec_red=None):
+def induction_map(G, U, seed=0, dec=None):
     """The induced-block bijection Prim of the reduction -> Prim outside U.
 
     For every block B of the big algebra that does not annihilate the corner,
@@ -404,8 +404,7 @@ def induction_map(G, U, seed=0, dec=None, dec_red=None):
     U = frozenset(U)
     if dec is None:
         dec = block_decomposition(G, seed=seed)
-    if dec_red is None:
-        dec_red = block_decomposition(reduction(G, U), seed=seed)
+    dec_red = block_decomposition(reduction(G, U), seed=seed)
     GU = dec_red.algebra.groupoid
     inside, outside = prim_partition(dec, U)
 
@@ -504,6 +503,14 @@ def check_phi_isometry(G, U, x):
 # -- norm estimates ------------------------------------------------------------
 
 
+# Each norm residual compares two norms that are exactly equal (the gap and the
+# regular consistency) or ordered (the slack), computed two ways.  Rounding
+# floor: the largest residual measured was 9.8e-15 over criterion 4 at suite
+# seeds 0 and 101 (20 subsets x 5 functions each) and 8.9e-16 over the
+# singletons and fixture subsets of the groupoid fixtures.
+NORM_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class NormEstimateReport:
     max_equality_gap: float       # | norm in the reduction - norm upstairs |
@@ -512,12 +519,12 @@ class NormEstimateReport:
 
     @property
     def ok(self):
-        return (self.max_equality_gap < 1e-9
-                and self.min_induction_slack > -1e-9
-                and self.max_regular_consistency < 1e-9)
+        return (self.max_equality_gap < NORM_TOL
+                and self.min_induction_slack > -NORM_TOL
+                and self.max_regular_consistency < NORM_TOL)
 
 
-def check_norm_estimates(G, U, trials=20, seed=0, dec=None, dec_red=None):
+def check_norm_estimates(G, U, trials=20, seed=0, dec=None):
     """Isometric inclusion of the reduction algebra, and the induced-norm bound.
 
     For random functions supported on the reduction: (a) the C*-norm computed
@@ -529,7 +536,7 @@ def check_norm_estimates(G, U, trials=20, seed=0, dec=None, dec_red=None):
     if trials <= 0:
         raise InputError("trials must be positive")
     U = frozenset(U)
-    ind = induction_map(G, U, seed=seed, dec=dec, dec_red=dec_red)
+    ind = induction_map(G, U, seed=seed, dec=dec)
     dec, dec_red = ind.dec, ind.dec_red
     GU = dec_red.algebra.groupoid
     rng = np.random.default_rng(seed)

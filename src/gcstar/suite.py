@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixtures
-from .bandops import (finite_section_analysis, limit_operator, locality_check,
-                      symbol_invertible)
+from .bandops import (DEFAULT_SECTION_SIZES, FLAG_VERDICT, finite_section_analysis,
+                      limit_operator, locality_check, symbol_invertible)
 from .convolution import convolve, involution, left_regular_rep, reduced_norm
 from .errors import GluingConditionError
 from .gluing import check_weak_gluing, glue
@@ -31,7 +31,7 @@ from .spectrum import (check_norm_estimates, check_phi_isometry,
                        morita_reduction_data, verify_spectrum_decomposition)
 
 
-RESIDUAL_TOL = 1e-9   # criteria 1 and 4: rounding residuals of exact identities
+RESIDUAL_TOL = 1e-9   # criterion 1: rounding residuals of exact identities
 REQUIRED_RATE = 0.95  # criterion 7: share of sections that must agree
 MODEL_GRID = 8192     # criterion 8: symbol scan grid of the boundary models
 
@@ -136,16 +136,15 @@ def criterion_norm_estimates(seed=0, instances=20, trials=5):
 
     def body():
         rng = rng_from_seed(seed)
-        worst_gap = 0.0
-        worst_slack = np.inf
+        ok, worst_gap, worst_slack = True, 0.0, np.inf
         for _ in range(instances):
             G = random_groupoid(rng, max_units=8, max_arrows=36)
             U = random_subset(rng, G)
             rep = check_norm_estimates(G, U, trials=trials, seed=seed)
+            ok = ok and rep.ok
             worst_gap = max(worst_gap, rep.max_equality_gap,
                             rep.max_regular_consistency)
             worst_slack = min(worst_slack, rep.min_induction_slack)
-        ok = worst_gap < RESIDUAL_TOL and worst_slack > -RESIDUAL_TOL
         return ok, (f"{instances}x{trials} functions, equality gap "
                     f"{worst_gap:.2e}, slack {worst_slack:.2e}")
 
@@ -185,10 +184,7 @@ def criterion_limit_operator_verdicts(seed=0, instances=100):
     return _timed(6, "limit-operator-verdicts", body)
 
 
-FLAG_VERDICT = {"CONSISTENT-FREDHOLM": True, "CONSISTENT-NONFREDHOLM": False}
-
-
-def criterion_finite_sections(seed=0, per_class=20, sizes=(256, 512, 1024)):
+def criterion_finite_sections(seed=0, per_class=20, sizes=DEFAULT_SECTION_SIZES):
     """Truncation diagnostics agree with the symbolic verdict."""
 
     def body():

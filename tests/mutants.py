@@ -133,6 +133,29 @@ MUTANTS = [
      "onto = np.array_equal(np.unique(image[hit]), fiber_full)",
      "onto = True",
      [SPECTRUM + "test_phi_isometry_reads_false_on_a_broken_table"]),
+    # -- each check in the one place that reads its value ------------------------
+    ("symbol-tol-unchecked", "bandops.py",
+     "    if not 0 < tol < np.inf:\n        raise InputError(\"tol must be finite and positive\")\n",
+     "",
+     [BANDOPS + "test_symbol_tolerance_must_be_finite_and_positive",
+      "tests/test_cli.py::test_bad_tolerance_is_input_error"]),
+    ("norm-report-regular-dropped", "spectrum.py",
+     "\n                and self.max_regular_consistency < NORM_TOL)",
+     ")",
+     [SPECTRUM + "test_norm_report_fails_on_each_residual_past_the_tolerance"]),
+    # -- the exact band arithmetic ------------------------------------------------
+    ("product-index-unshifted", "bandops.py",
+     "other.coefficient(k - i, n - i)",
+     "other.coefficient(k - i, n)",
+     [BANDOPS + "test_band_product_matches_dense_truncation_in_the_bulk"]),
+    ("sum-window-without-other", "bandops.py",
+     "lo, hi = self._safe_window(other)\n",
+     "lo, hi = self._safe_window()\n",
+     [BANDOPS + "test_adjoint_and_linearity"]),
+    ("limit-symbol-reflected", "bandops.py",
+     'table[k] = d.limit_minus if end == "minus" else d.limit_plus',
+     'table[-k] = d.limit_minus if end == "minus" else d.limit_plus',
+     [BANDOPS + "test_limit_operator_discards_core_and_reads_potential_limits"]),
 ]
 
 

@@ -35,6 +35,9 @@ def test_limit_operator_discards_core_and_reads_potential_limits():
     theta = np.linspace(0, 2 * np.pi, 11)
     assert np.allclose(minus(theta), 2 * np.cos(theta) - 2 - 1)
     assert np.allclose(plus(theta), 2 * np.cos(theta) - 2 + 5)
+    # offset 1, the first subdiagonal, carries exp(i theta), not exp(-i theta)
+    shift = BandOperator.from_limits({1: (2.0, 3.0)})
+    assert limit_operator(shift, "plus").coefficients == ((1, 3 + 0j),)
 
 
 def test_symbol_invertible_examples():
@@ -70,6 +73,13 @@ def test_symbol_grid_precondition():
     sym = LaurentSymbol(((5, 1.0),))
     with pytest.raises(InputError):
         symbol_invertible(sym, grid=16)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, np.inf, np.nan])
+def test_symbol_tolerance_must_be_finite_and_positive(tol):
+    # with tol = inf every symbol would read "not invertible"
+    with pytest.raises(InputError, match="tol"):
+        symbol_invertible(LaurentSymbol(((0, 1.0),)), tol=tol)
 
 
 def test_fredholm_verdict_examples():
@@ -147,29 +157,35 @@ def test_symbol_of_products_multiplies():
             assert limit_operator(AB, end).max_abs_difference(expected) < 1e-12
 
 
+def _banded_pairs_with_cores(seed, count=12):
+    """Seeded pairs of random band operators, both of bandwidth >= 1 with a
+    core, the second one's reaching further out: the index shift of a product
+    and the window of a sum show only there."""
+    rng, pairs = rng_from_seed(seed), []
+    while len(pairs) < count:
+        A, B = random_band_operator(rng), random_band_operator(rng, core_width=10)
+        if all(X.bandwidth >= 1 and X.core_window() != (0, -1) for X in (A, B)):
+            pairs.append((A, B))
+    return pairs
+
+
 def test_band_product_matches_dense_truncation_in_the_bulk():
-    rng = rng_from_seed(35)
-    A = random_band_operator(rng)
-    B = random_band_operator(rng)
-    AB = A @ B
     N = 30
-    dense = A.truncation(N) @ B.truncation(N)
-    w = A.bandwidth + B.bandwidth
-    sub = AB.truncation(N)
-    inner = slice(w, 2 * N + 1 - w)  # rows unaffected by truncating the factors
-    assert np.max(np.abs(dense[inner, :] - sub[inner, :])) < 1e-12
+    for A, B in _banded_pairs_with_cores(35):
+        dense = A.truncation(N) @ B.truncation(N)
+        w = A.bandwidth + B.bandwidth
+        inner = slice(w, 2 * N + 1 - w)  # rows unaffected by truncating the factors
+        assert np.max(np.abs(dense[inner, :] - (A @ B).truncation(N)[inner, :])) < 1e-12
 
 
 def test_adjoint_and_linearity():
-    rng = rng_from_seed(36)
-    A = random_band_operator(rng)
-    B = random_band_operator(rng)
     N = 20
-    assert np.allclose(A.adjoint().truncation(N), A.truncation(N).conj().T)
-    assert np.allclose((A + B).truncation(N), A.truncation(N) + B.truncation(N))
-    assert np.allclose((2.5j * A).truncation(N), 2.5j * A.truncation(N))
-    H = A + A.adjoint()
-    assert H.is_selfadjoint()
+    for A, B in _banded_pairs_with_cores(36):
+        assert np.allclose(A.adjoint().truncation(N), A.truncation(N).conj().T)
+        assert np.allclose((A + B).truncation(N), A.truncation(N) + B.truncation(N))
+        assert np.allclose((2.5j * A).truncation(N), 2.5j * A.truncation(N))
+        H = A + A.adjoint()
+        assert H.is_selfadjoint()
 
 
 def _upper_bands(M, u):

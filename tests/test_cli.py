@@ -25,6 +25,7 @@ def test_validate_clean_and_broken(capsys):
     assert run("validate", fixture("pair3.json")) == 0
     out = capsys.readouterr().out
     assert "ok: true" in out
+    assert "seed:" not in out   # a deterministic command has no seed to echo
     assert run("validate", fixture("broken_pair3.json")) == 1
 
 
@@ -83,6 +84,7 @@ def test_induction_checks(capsys):
                "--trials", "3") == 0
     out = capsys.readouterr().out
     assert out.count("unitary: true") == 2 and out.count("ok: true") == 2
+    assert out.count("regular-consistency: ") == 2
     assert "unitary-residual" not in out and "bijection-onto-complement" not in out
 
 
@@ -217,6 +219,15 @@ def test_model_requires_a_spec_source():
     assert run("model") == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--geometry", "cusp"), ("--coefficients", "1,0,1"),
+                                         ("--r", "3"), ("--n", "32"), ("--h", "0.2")])
+def test_model_spec_excludes_model_flags(flag, value, capsys):
+    # the spec file states every model parameter; a flag beside it would be ignored
+    assert run("model", "--spec", fixture("model_b.json"), flag, value) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"input error: --spec excludes {flag}\n"
+
+
 def test_reports_are_deterministic(tmp_path):
     out1 = tmp_path / "r1.txt"
     out2 = tmp_path / "r2.txt"
@@ -251,12 +262,14 @@ def test_report_schema_header(tmp_path):
 
 
 def test_bad_tolerance_is_input_error():
-    assert run("induction-checks", fixture("pair3.json"), "--subsets",
-               fixture("subsets_induction.json"), "--tol-norm", "-1") == 2
+    assert run("fredholm", fixture("band_laplacian.json"), "--tol-symbol", "-1") == 2
 
 
 def test_flags_only_on_the_subcommands_that_read_them():
-    for argv in (("spectrum", fixture("pair3.json"), "--tol-norm", "1e-9"),
+    for argv in (("induction-checks", fixture("pair3.json"), "--subsets",
+                  fixture("subsets_induction.json"), "--tol-norm", "1e-9"),
+                 ("validate", fixture("pair3.json"), "--seed", "0"),
+                 ("fredholm", fixture("band_laplacian.json"), "--seed", "0"),
                  ("suite", "--eps", "1e-3"),
                  ("validate", fixture("pair3.json"), "--grid", "0"),
                  ("model", "--spec", fixture("model_b.json"), "--sizes", "64,128")):
@@ -302,8 +315,7 @@ def test_repeated_sizes_are_exit_2(capsys):
     ("fredholm", fixture("band_laplacian.json"), "--eps", "nan"),
     ("fredholm", fixture("band_laplacian_shifted.json"), "--eps", "inf"),
     ("fredholm", fixture("band_laplacian.json"), "--tol-symbol", "inf"),
-    ("induction-checks", fixture("pair3.json"), "--subsets",
-     fixture("subsets_induction.json"), "--tol-norm", "nan"),
+    ("fredholm", fixture("band_laplacian.json"), "--grid", "0"),
     ("suite", "--seed", "-1"),
     ("spectrum", fixture("pair3.json"), "--seed", "-1"),
     # with no function drawn, every norm row would pass vacuously
@@ -317,6 +329,7 @@ def test_repeated_sizes_are_exit_2(capsys):
     ("model", "--geometry", "b", "--coefficients", "1,abc"),
     ("model", "--geometry", "b", "--coefficients", "1,2", "--h", "nan"),
     ("model", "--geometry", "cusp", "--coefficients", "1,2", "--r", "inf"),
+    ("fredholm", fixture("band_laplacian.json"), "--sizes", "0,512"),
 ])
 def test_non_finite_tolerances_and_negative_seeds_are_exit_2(argv, capsys):
     assert run(*argv) == 2

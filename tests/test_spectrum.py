@@ -14,9 +14,9 @@ from gcstar.groupoid import (FiniteGroup, direct_product, disjoint_union,
                              reduction)
 from gcstar.randgen import (random_admissible_cover, random_arrow_function,
                             random_groupoid, random_subset, rng_from_seed)
-from gcstar.spectrum import (ANNIHILATION_TOL, BLOCK_TOL, BlockDecomposition,
-                             _invariance_bounds, _verify_blocks, block_decomposition,
-                             check_norm_estimates, check_phi_isometry,
+from gcstar.spectrum import (ANNIHILATION_TOL, BLOCK_TOL, NORM_TOL, BlockDecomposition,
+                             NormEstimateReport, _invariance_bounds, _verify_blocks,
+                             block_decomposition, check_norm_estimates, check_phi_isometry,
                              commutant_basis, concrete_algebra, induction_map,
                              morita_reduction_data, prim_partition,
                              verify_spectrum_decomposition)
@@ -731,6 +731,14 @@ def test_norm_estimate_examples():
 def test_norm_estimates_refuse_to_draw_no_function(trials):
     with pytest.raises(InputError, match="trials must be positive"):
         check_norm_estimates(pair3(), {"1"}, trials=trials)
+
+
+@pytest.mark.parametrize("residuals", [(2 * NORM_TOL, 0.0, 0.0), (0.0, -2 * NORM_TOL, 0.0),
+                                       (0.0, 0.0, 2 * NORM_TOL)])
+def test_norm_report_fails_on_each_residual_past_the_tolerance(residuals):
+    # gap, slack and regular consistency: criterion 4 and the CLI read all three
+    assert NormEstimateReport(0.0, 0.0, 0.0).ok
+    assert not NormEstimateReport(*residuals).ok
 
 
 def test_norm_estimates_randomized():

@@ -7,6 +7,7 @@ reach belongs in the tests or nowhere.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,3 +83,19 @@ def test_a_module_constant_that_nothing_names_is_reported(tmp_path):
     (tmp_path / "a.py").write_text("USED = 1\nUNNAMED = 2\n\n\ndef f():\n    return USED\n")
     (tmp_path / "b.py").write_text("from a import f\n\nf()\n")
     assert unreached_names(tmp_path) == [("a.py", "UNNAMED")]
+
+
+def test_every_tracer_target_resolves_in_the_package():
+    """A traced name that the package no longer defines fails here, not in
+    the traced benchmark run."""
+    tree = ast.parse((ROOT / "gcbench" / "tracer.py").read_text(encoding="utf-8"))
+    (targets,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"]]
+    missing = []
+    for _, module, attr in ast.literal_eval(targets):
+        found = importlib.import_module(module)
+        for part in attr.split("."):
+            found = getattr(found, part, None)
+        if not callable(found):
+            missing.append(f"{module}.{attr}")
+    assert missing == []
