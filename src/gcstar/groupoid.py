@@ -408,8 +408,9 @@ def validate(G):
             first, hk = by_k[P[gs, hs]], by_k[hs]
             hk += (gs * (n + 1))[:, None]  # flat position of (g, hk) in padded
             second = padded[hk]
-            a, b = (first != second).nonzero()
-            failures += zip(gs[a], hs[a], ks[b], first[a, b], second[a, b])
+            if not np.array_equal(first, second):  # locate only in a run that fails
+                a, b = (first != second).nonzero()
+                failures += zip(gs[a], hs[a], ks[b], first[a, b], second[a, b])
     if failures:  # in compose_table order of (g, h), then by k
         rank = np.empty((n, n), np.intp)
         rank[T.left, T.right] = np.arange(len(T.left))

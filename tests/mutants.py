@@ -68,6 +68,23 @@ MUTANTS = [
      "x = np.argmax(chi2[table.unit])",
      "x = np.argmin(chi2[table.unit])",
      [SPECTRUM + "test_block_census_on_random_groupoids"]),
+    # -- validation where a groupoid enters, traces in one pass -----------------
+    ("cluster-trace-unconjugated", "spectrum.py",
+     "Vc, step = Vz.conj(), max(",
+     "Vc, step = Vz, max(",
+     [SPECTRUM + "test_cluster_traces_match_the_images_they_replace"]),
+    ("associativity-mismatch-unlocated", "groupoid.py",
+     "if not np.array_equal(first, second):",
+     "if False:",
+     ["tests/test_groupoid.py::test_validate_redirected_composition_lists_associativity",
+      "tests/test_groupoid.py::test_associativity_gathers_match_the_per_arrow_reference"]),
+    ("decomposition-unvalidated", "spectrum.py",
+     "    if not (report := validate(G)).ok:\n"
+     "        raise InputError(\"groupoid fails validation: \" + report.lines()[0])\n"
+     "    return wedderburn(",
+     "    return wedderburn(",
+     [SPECTRUM + "test_wedderburn_rejects_non_groupoid",
+      "tests/test_cli.py::test_spectrum_commands_refuse_a_groupoid_that_fails_validation"]),
     ("validate-padding-zero", "groupoid.py",
      "padded = np.hstack([P, np.full((n, 1), -1)]).ravel()",
      "padded = np.hstack([P, np.full((n, 1), 0)]).ravel()",

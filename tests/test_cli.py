@@ -69,6 +69,13 @@ def test_spectrum_report(capsys):
     assert "sum-of-squared-dims" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum",), ("verify-decomposition", "--cover", fixture("cover_two_points.json"))])
+def test_spectrum_commands_refuse_a_groupoid_that_fails_validation(argv, capsys):
+    assert run(argv[0], fixture("broken_pair3.json"), *argv[1:]) == 2
+    assert "input error: groupoid fails validation" in capsys.readouterr().err
+
+
 def test_verify_decomposition_exit_codes(tmp_path, capsys):
     assert run("verify-decomposition", fixture("disjoint_pair_z2.json"),
                "--cover", fixture("cover_disjoint.json")) == 0

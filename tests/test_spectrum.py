@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -334,13 +335,14 @@ def test_verify_blocks_rejects_a_reducible_block(G, parts):
     dec = block_decomposition(G, seed=1)
     parts = [dec.blocks[i] for i in parts]
     Q = np.hstack([b.isometry for b in parts])
-    # the fake keeps the first part's traces: the check must read the images
+    # the fake keeps the first part's traces: the check must read the traces
+    # of the isometry it is handed, not Block.traces
     fake = BlockDecomposition(dec.algebra,
                               (replace(parts[0], dim=Q.shape[1], isometry=Q),))
     # invariant, so an invariance bound of 0 is honest: only irreducibility fails
     assert np.max(invariance_residuals(dec.algebra, Q)) < 1e-12
     with pytest.raises(AmbiguityError, match="not irreducible"):
-        _verify_blocks(fake, fake.arrow_images, [0.0])
+        _verify_blocks(fake, [np.einsum("kii->k", X) for X in fake.arrow_images], [0.0])
 
 
 def tamper_eigh(monkeypatch, edit):
@@ -855,8 +857,76 @@ def test_morita_randomized():
 
 
 def test_wedderburn_rejects_non_groupoid():
-    with pytest.raises(InputError):
-        concrete_algebra(broken_pair3())
+    with pytest.raises(InputError, match="groupoid fails validation"):
+        block_decomposition(broken_pair3())
+
+
+def test_spectrum_decomposition_validates_its_groupoid_once(monkeypatch):
+    # G enters through block_decomposition; the cover reductions are
+    # groupoids by construction and are not validated again
+    import gcstar.groupoid as groupoid
+    import gcstar.spectrum as spectrum
+
+    calls, validate = [], groupoid.validate
+
+    def counted(G):
+        calls.append(G)
+        return validate(G)
+
+    for module in (spectrum, groupoid):
+        monkeypatch.setattr(module, "validate", counted)
+    G = disjoint_pair_z2()
+    cover = [{"1", "3"}, {"2", "3"}, {"1", "2", "3"}]
+    assert verify_spectrum_decomposition(G, cover, seed=1).ok
+    assert calls == [G]
+
+
+def test_induction_map_refuses_a_decomposition_of_another_groupoid():
+    # an equal groupoid is still another object: its validation says
+    # nothing about G, which here breaks associativity
+    dec = block_decomposition(pair3(), seed=1)
+    assert induction_map(dec.algebra.groupoid, {"1"}, seed=1, dec=dec).ok
+    for G in (pair3(), broken_pair3()):
+        with pytest.raises(InputError, match="another groupoid"):
+            induction_map(G, {"1"}, seed=1, dec=dec)
+        with pytest.raises(InputError, match="another groupoid"):
+            verify_spectrum_decomposition(G, [{"1"}], seed=1, dec=dec)
+        with pytest.raises(InputError, match="another groupoid"):
+            check_norm_estimates(G, {"1"}, trials=1, seed=1, dec=dec)
+
+
+@pytest.mark.parametrize("budget", [1, None], ids=["one-arrow-per-gather", "default"])
+def test_cluster_traces_match_the_images_they_replace(monkeypatch, budget):
+    # with a budget of one entry every gather holds one arrow's row, so each
+    # cluster's traces are stacked from as many gathers as there are arrows
+    import gcstar.spectrum as spectrum
+
+    if budget is not None:
+        monkeypatch.setattr(spectrum, "TRACE_BATCH", budget)
+    rng = rng_from_seed(53)
+    groupoids = [random_groupoid(rng, max_arrows=40) for _ in range(8)]
+    groupoids += [pair3_s3(), group_groupoid(symmetric_group_3())]
+    for G in groupoids:
+        dec = block_decomposition(G, seed=7)
+        for b in dec.blocks:
+            images = np.einsum("kii->k", dec.algebra.images(b.isometry))
+            assert np.max(np.abs(np.array(b.traces) - images)) < 1e-12
+    assert max(b.dim for b in dec.blocks) == 2  # S3's two-dimensional irreducible
+
+
+def test_block_decomposition_memory_stays_within_the_trace_budget():
+    # Z96 has 96 one-dimensional clusters and a 96 x 96 entry table: one
+    # gather of every arrow's row would peak at 28 MB; in runs of at most
+    # TRACE_BATCH entries (here 7 arrows, 1 MB) it adds about 1.3 MB to the
+    # 2.5 MB of the tables, the validation and the split
+    G = group_groupoid(FiniteGroup.cyclic(96))
+    tracemalloc.start()
+    try:
+        assert len(block_decomposition(G, seed=1).blocks) == 96
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 << 20
 
 
 def test_empty_cover_member_contributes_nothing():
