@@ -488,29 +488,46 @@ def _hermitian_sections(A, sizes):
 
 
 def _gram_norm(A, N):
-    """Largest singular value of the section, by bisection on A*A.
+    """Largest singular value of the section, bracketing the top eigenvalue of A*A.
 
-    Banded Cholesky (zpbtrf) of lam*I - A*A succeeds exactly when lam
+    Banded Cholesky (zpbtrf) of mu*I - A*A succeeds exactly when mu
     exceeds the top Gram eigenvalue, up to 2w*u*||A||^2: squaring costs
     nothing at the top of the spectrum.  The bracket runs from the largest
-    squared column norm to (sum_k max|c_k|)^2 >= ||A||_1 ||A||_inf.
+    squared column norm to (sum_k max|c_k|)^2 >= ||A||_1 ||A||_inf.  A probe
+    that fails becomes the lower end; one that factors becomes the upper end
+    and takes a step of inverse iteration, y = (mu*I - A*A)^-1 x, whose
+    Rayleigh quotient mu - Re(y*x)/||y||^2 raises the lower end (Parlett,
+    The Symmetric Eigenvalue Problem, 1998, ch. 4).  The computed quotient
+    exceeds the top eigenvalue only by the solve's backward error, about
+    (2w+1)*u*mu, the order of the Cholesky floor.  The next probe lies the
+    quotient's last change (at least u times the lower end) above the lower
+    end, or at the midpoint if that is nearer or the last probe failed.
     """
-    from scipy.linalg.lapack import zpbtrf
+    from scipy.linalg.lapack import zpbtrf, zpbtrs
 
-    bands, _ = A.gram_banded(N)
-    lo = float(bands[-1].real.max())
+    bands, n = A.gram_banded(N)
+    lo = rho = float(bands[-1].real.max())
     hi = sum(max(abs(d.limit_minus), abs(d.limit_plus), *(abs(v) for _, v in d.core))
              for d in A.diagonals.values()) ** 2
+    x = np.random.default_rng(0).standard_normal(n)  # no pattern for the top vector to miss
     np.negative(bands, out=bands)
     trial = np.empty_like(bands, order="F")     # zpbtrf factors it in place
-    while hi - lo > np.finfo(float).eps * hi:
-        mid = 0.5 * (lo + hi)
+    eps, step = np.finfo(float).eps, 0.0
+    while hi - lo > eps * hi:
+        probe = 0.5 * (lo + hi)
+        if lo < lo + step < probe:
+            probe = lo + step
         trial[...] = bands
-        trial[-1] += mid
-        if zpbtrf(trial, overwrite_ab=1)[1] == 0:
-            hi = mid
-        else:
-            lo = mid
+        trial[-1] += probe
+        factor, info = zpbtrf(trial, overwrite_ab=1)
+        if info:
+            lo, step = probe, 0.0
+            continue
+        hi, y = probe, zpbtrs(factor, x)[0]
+        yy = np.vdot(y, y).real
+        last, rho = rho, probe - np.vdot(y, x).real / yy
+        lo, x = max(lo, rho), y / np.sqrt(yy)
+        step = max(abs(rho - last), eps * lo)
     return float(np.sqrt(hi))
 
 
@@ -728,8 +745,8 @@ def finite_section_analysis(A, sizes, eps=DEFAULT_SECTION_EPS):
     * any other band counts the negative eigenvalues of its Golub-Kahan
       dilation shifted by t by block cyclic reduction, one level at a time
       for all sizes and both thresholds over their distinct blocks, and
-      takes the norm by bisection with banded Cholesky on the Gram matrix
-      of the largest section.
+      takes the norm from the Gram matrix of the largest section, bracketed
+      by banded Cholesky tests and inverse-iteration Rayleigh quotients.
 
     The flag is a heuristic:
 

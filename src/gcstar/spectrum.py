@@ -294,13 +294,10 @@ def wedderburn(alg, seed=0):
             "block dimension census fails the exact count; eigenvalue "
             "clustering was unreliable -- re-run with a different seed")
 
-    def sort_key(i):
-        # one rounding of the whole vector: on numpy float64 parts,
-        # round(x, 6) is np.round, so the keys match it bit for bit
-        r = np.round(traces[i], 6)
-        return (dims[i], tuple(zip(r.real.tolist(), r.imag.tolist())))
-
-    groups.sort(key=sort_key)
+    # canonical order, stable: by dimension, then by the rounded traces, the
+    # real and imaginary part of each arrow in turn (lexsort's last key leads)
+    parts = np.round(traces[groups], 6).view(float)
+    groups = [groups[k] for k in np.lexsort(np.vstack([parts.T[::-1], np.take(dims, groups)]))]
     dec = BlockDecomposition(alg, tuple(
         Block(label=f"B{k}", dim=dims[i], multiplicity=count[i],
               isometry=vectors[:, slice(*clusters[i])], traces=tuple(traces[i]))

@@ -120,6 +120,15 @@ MUTANTS = [
      "live, blocks = np.tile(live, T),",
      "live, blocks = np.repeat(live, T),",
      [BANDOPS + "test_counts_do_not_depend_on_how_thresholds_are_grouped"]),
+    # -- the Rayleigh bracket of the general section norm -----------------------
+    ("rayleigh-raises-hi", "bandops.py",
+     "lo, x = max(lo, rho), y / np.sqrt(yy)",
+     "hi, x = min(hi, rho), y / np.sqrt(yy)",
+     [BANDOPS + "test_gram_norm_brackets_the_bisection_value"]),
+    ("rayleigh-sign-flipped", "bandops.py",
+     "probe - np.vdot(y, x).real / yy",
+     "probe + np.vdot(y, x).real / yy",
+     [BANDOPS + "test_gram_norm_brackets_the_bisection_value"]),
     # -- gluing classes and linking-data orbits read one move wide ---------------
     ("glue-class-named-last", "gluing.py",
      "min(charts.items())",

@@ -264,6 +264,62 @@ def _general_band(rng, w):
                          for k in range(-w, w + 1)})
 
 
+def _bisection_norm(A, N):
+    """Section norm by plain bisection on the Cholesky test, and its count of
+    factorizations: the reference that the Rayleigh bracket must match."""
+    from scipy.linalg.lapack import zpbtrf
+
+    bands, _ = A.gram_banded(N)
+    lo = float(bands[-1].real.max())
+    hi = sum(max(abs(d.limit_minus), abs(d.limit_plus), *(abs(v) for _, v in d.core))
+             for d in A.diagonals.values()) ** 2
+    count = 0
+    while hi - lo > np.finfo(float).eps * hi:
+        mid, count = 0.5 * (lo + hi), count + 1
+        trial = -bands
+        trial[-1] += mid
+        if zpbtrf(trial)[1] == 0:
+            hi = mid
+        else:
+            lo = mid
+    return float(np.sqrt(hi)), count
+
+
+@pytest.mark.parametrize("A", [
+    _general_band(rng_from_seed(60), 0),
+    _general_band(rng_from_seed(61), 1),
+    _general_band(rng_from_seed(62), 2),
+    _general_band(rng_from_seed(63), 2),
+    BandOperator.toeplitz({0: 1, 1: -1}),     # the top singular vector alternates
+    BandOperator.toeplitz({2: 1, -2: 1j}),
+    BandOperator.from_limits({0: (1, 0), 1: (0, 1)}),
+    # the entry at 300 lies outside both sections and widens the bracket
+    BandOperator.from_limits({0: (0.5j, 2 - 1j)}, core={0: {-3: 3j, 300: 6.0}}),
+], ids=["w0", "w1", "w2", "w2b", "difference", "offset-two", "switch", "diagonal"])
+@pytest.mark.parametrize("N", [40, 200])
+def test_gram_norm_brackets_the_bisection_value(monkeypatch, A, N):
+    from scipy.linalg import lapack
+
+    expected, bisections = _bisection_norm(A, N)
+    calls, factor = [], lapack.zpbtrf
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "zpbtrf", counting)
+    norm = bandops._gram_norm(A, N)
+    monkeypatch.undo()
+    assert len(calls) <= bisections
+    assert abs(norm - expected) <= 4 * np.finfo(float).eps * expected
+    # sqrt rounds to nearest, so the norm one ulp up squares to at least the
+    # certified upper end, where the factorization succeeded
+    bands, _ = A.gram_banded(N)
+    trial = -bands
+    trial[-1] += np.nextafter(norm, np.inf) ** 2
+    assert lapack.zpbtrf(trial)[1] == 0
+
+
 @pytest.mark.parametrize("w", [1, 2])
 @pytest.mark.parametrize("largest", [160, 161])
 @pytest.mark.parametrize("eps", [1e-6, 1e-9])

@@ -117,6 +117,11 @@ def test_block_census_on_random_groupoids():
         dec = block_decomposition(G, seed=3)
         assert sum(b.dim ** 2 for b in dec.blocks) == G.n_arrows()
         assert sum(b.dim * b.multiplicity for b in dec.blocks) == dec.algebra.dim
+        # canonical labels: by dimension, then by the rounded traces as
+        # (re, im) pairs, compared as Python tuples
+        keys = [(b.dim, tuple((round(t.real, 6), round(t.imag, 6)) for t in b.traces))
+                for b in dec.blocks]
+        assert keys == sorted(keys)
         # exact census: each orbit carries one block per conjugacy class of
         # its isotropy group (G|_O is equivalent to that group)
         alive = np.abs(dec.character_matrix[G.table.unit]) > 0.5  # units x blocks
