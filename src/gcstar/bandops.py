@@ -39,20 +39,24 @@ DEFAULT_SECTION_SIZES = (256, 512, 1024)
 #   (Kahan 1966; Demmel, Applied Numerical Linear Algebra, section 5.3), so
 #   only an eigenvalue within ~5u ||A|| of -t or t can fall on the wrong side.
 # * Block cyclic reduction on the Golub-Kahan dilation (all other bands):
-#   each level is backward stable up to ~d u ||C|| for the blocks C it
-#   diagonalises, d the largest block dimension reached (b = 2(w + 1) plus
-#   the directions carried).  Carrying every direction whose update would
-#   exceed PIVOT_GROWTH ||A|| keeps ||C|| below ~d PIVOT_GROWTH ||A||, so a
-#   level can miscount only a singular value within ~d^2 PIVOT_GROWTH u ||A||
-#   of t.  The reduction raises past d = 6b, where that is 1.4e-10 ||A|| for
-#   b = 6: below eps = 1e-9 for ||A|| <= 6.  The levels' errors add (12
-#   levels at N = 4096); on the 350 general operators of the sections
-#   benchmark at seeds 0-9 the blocks reached at most 27 unknowns and
-#   2.3e3 ||A||, about 1e-10 ||A|| summed over all levels.
+#   its scale is the coefficient bound B = sum_k max_i |c_k(i)|, which needs
+#   no solve and bounds every section norm, ||A_N|| <= B <= (2w + 1) ||A||
+#   (B / ||A_N|| read 1.02-2.47, median 1.62, on the 700 general operators
+#   of the sections benchmark at seeds 0-9 and 100-109).  Each level is
+#   backward stable up to ~d u ||C|| for the blocks C it diagonalises, d the
+#   largest block dimension reached (b = 2(w + 1) plus the directions
+#   carried).  Carrying every direction whose update would exceed
+#   PIVOT_GROWTH B keeps ||C|| below ~d PIVOT_GROWTH B, so a level can
+#   miscount only a singular value within ~d^2 PIVOT_GROWTH u B of t.  The
+#   reduction raises past d = 6b, where that is 1.4e-10 B for b = 6: below
+#   eps = 1e-9 for B <= 6.  The levels' errors add (12 levels at N = 4096);
+#   on the 700 operators above the blocks reached at most 36 unknowns (one
+#   operator; the next largest 27) and 2.9e3 B, at most 2.5e-11 B summed
+#   over all levels.
 # Both sit far below DEFAULT_SECTION_EPS; counting on A*A would square the
 # floor to ~sqrt(n u) ||A||, 5e-7 ||A|| at N = 1024.
 # An eliminated Schur-complement eigenvalue of modulus at most
-# SCHUR_PIVOT_TOL * dim(C) * max(||A||, largest eliminated modulus) has no
+# SCHUR_PIVOT_TOL * dim(C) * max(B, largest eliminated modulus) has no
 # determinable sign at that floor: the reduction raises AmbiguityError.
 SCHUR_PIVOT_TOL = 8 * np.finfo(float).eps
 PIVOT_GROWTH = 1e3
@@ -67,9 +71,13 @@ PIVOT_GROWTH = 1e3
 # singular values of the sections are distributed like the moduli of the
 # limit symbols, half the section in each limit regime, so the count below
 # a threshold t grows in proportion to N as soon as a limit symbol dips
-# below t on an arc.  A window of MODERATE_FRACTION * ||A|| separates the
-# two cases for every operator whose limit symbols either reach zero or
-# stay above the window.
+# below t on an arc.  The scale of that distribution is the essential norm
+# of A, its norm modulo compacts: the core is of finite rank, so that norm
+# is max over both ends of max_theta |sigma(theta)|.  A window of MODERATE_FRACTION times that
+# norm separates the two cases for every operator whose limit symbols
+# either reach zero or stay above the window.  The norm is read on the
+# DEFAULT_GRID scan, whose maximum sits at most L pi / grid below the true
+# one (L the Lipschitz bound of the symbol, as in symbol_invertible).
 MODERATE_FRACTION = 0.02
 
 
@@ -190,7 +198,8 @@ class BandOperator:
         Returns (bands, size) with bands in the layout scipy's banded
         solvers expect; the Gram matrix A*A has bandwidth 2w.  Row i
         holds c_k(i) in column i - k, so the pair of offsets k1 >= k2 adds
-        conj(c_k1(i)) c_k2(i) to the entry (i - k1, i - k2).
+        conj(c_k1(i)) c_k2(i) to the entry (i - k1, i - k2).  No verdict
+        reads it: it stays only as a target of gcbench's tracer.
         """
         n = 2 * N + 1
         w = self.bandwidth
@@ -346,6 +355,15 @@ def _unit_circle_wave(grid, k):
     return wave
 
 
+def _symbol_values(sym, grid):
+    """sigma on the uniform grid: the sum of LaurentSymbol.__call__, term by
+    term over the cached waves."""
+    values = np.zeros(int(grid), dtype=complex)
+    for k, c in sym.coefficients:
+        values += c * _unit_circle_wave(int(grid), k)
+    return values
+
+
 def symbol_invertible(sym, grid=DEFAULT_GRID, tol=DEFAULT_SYMBOL_TOL):
     """Certified invertibility of the Laurent operator with this symbol.
 
@@ -365,9 +383,7 @@ def symbol_invertible(sym, grid=DEFAULT_GRID, tol=DEFAULT_SYMBOL_TOL):
         raise InputError("grid is too coarse for the symbol degree")
     if not 0 < tol < np.inf:
         raise InputError("tol must be finite and positive")
-    values = np.zeros(int(grid), dtype=complex)
-    for k, c in sym.coefficients:  # the sum of LaurentSymbol.__call__, term by term
-        values += c * _unit_circle_wave(int(grid), k)
+    values = _symbol_values(sym, grid)
     moduli = np.abs(values)
     min_modulus = float(moduli.min()) if moduli.size else 0.0
     margin = min_modulus - sym.lipschitz_bound() * np.pi / grid
@@ -428,7 +444,6 @@ class FiniteSectionReport:
     counts: tuple           # singular values below eps, per size
     window_counts: tuple    # singular values below the moderate window, per size
     window: float           # the moderate threshold actually used
-    norm_estimate: float    # largest singular value at the largest size
     flag: str               # CONSISTENT-FREDHOLM / CONSISTENT-NONFREDHOLM / INCONCLUSIVE
 
 
@@ -439,96 +454,38 @@ FLAG_VERDICT = {"CONSISTENT-FREDHOLM": True, "CONSISTENT-NONFREDHOLM": False}
 def eigvals_banded(*args, **kwargs):
     """scipy.linalg.eigvals_banded, imported on the first call.
 
-    Only the finite sections need scipy, so ``import gcstar`` and every
-    command that computes no section load numpy alone.  The name stays at
-    module level, where gcbench's tracer wraps it.
+    No verdict calls it: it stays only as a target of gcbench's tracer.
     """
     from scipy.linalg import eigvals_banded as banded
     return banded(*args, **kwargs)
 
 
-def _hermitian_sections(A, sizes):
-    """Norm and counter of Hermitian tridiagonal sections, by Sturm counts.
+def _hermitian_sections(A, sizes, thresholds):
+    """#{sigma <= t} of every Hermitian tridiagonal section and threshold.
 
     A diagonal unitary similarity turns every coupling c_1(i) into |c_1(i)|,
     so a section is real symmetric and #{sigma <= t} = #{lambda in (-t, t]}.
-    The norm is the larger modulus of the two ends of the largest section's
-    spectrum.
+    LAPACK's dstebz counts (-t, t] by Sturm sweeps under Kahan's pivmin rule
+    (a pivot below safmin * max(1, max e_j^2) in modulus becomes -pivmin).
+    It first treats a coupling as zero when e_j^2 <= ulp^2 |d_j d_{j+1}| +
+    safmin, which moves no eigenvalue by more than ~ulp ||A|| (Weyl): inside
+    the ~5u ||A|| floor of the Sturm count.  abstol = 2t spans the whole
+    interval, so no eigenvalue is refined.
     """
     from scipy.linalg.lapack import dstebz
 
-    w, sections = A.bandwidth, []
+    w, out = A.bandwidth, [[] for _ in thresholds]
     for N in sizes:
         c = A.section_coefficients(N)
         diag = c[w].real.copy()
-        off = np.abs(c[w + 1]) if w else np.zeros(diag.size)
-        off[0] = 0.0                    # row -N couples to nothing above it
-        sections.append((diag, off[1:]))
-    band = np.array([off, diag])        # upper storage of the largest section
-    norm = max(abs(eigvals_banded(band, select="i", select_range=(i, i))[0])
-               for i in (0, diag.size - 1))
-
-    def counts(thresholds):
-        # dstebz counts (-t, t] by Sturm sweeps under Kahan's pivmin rule (a
-        # pivot below safmin * max(1, max e_j^2) in modulus becomes -pivmin).
-        # It first treats a coupling as zero when e_j^2 <= ulp^2 |d_j d_{j+1}|
-        # + safmin, which moves no eigenvalue by more than ~ulp ||A|| (Weyl):
-        # inside the ~5u ||A|| floor of the Sturm count.  abstol = 2t spans
-        # the whole interval, so no eigenvalue is refined.
-        out = [[] for _ in thresholds]
-        for diag, off in sections:
-            for row, t in zip(out, thresholds):
-                m, _, _, _, info = dstebz(diag, off, 1, -t, t, 0, 0, 2 * t, b"B")
-                if info < 0:
-                    raise InputError(f"dstebz rejected argument {-info} at threshold {t}")
-                row.append(m)
-        return out
-
-    return float(norm), counts
-
-
-def _gram_norm(A, N):
-    """Largest singular value of the section, bracketing the top eigenvalue of A*A.
-
-    Banded Cholesky (zpbtrf) of mu*I - A*A succeeds exactly when mu
-    exceeds the top Gram eigenvalue, up to 2w*u*||A||^2: squaring costs
-    nothing at the top of the spectrum.  The bracket runs from the largest
-    squared column norm to (sum_k max|c_k|)^2 >= ||A||_1 ||A||_inf.  A probe
-    that fails becomes the lower end; one that factors becomes the upper end
-    and takes a step of inverse iteration, y = (mu*I - A*A)^-1 x, whose
-    Rayleigh quotient mu - Re(y*x)/||y||^2 raises the lower end (Parlett,
-    The Symmetric Eigenvalue Problem, 1998, ch. 4).  The computed quotient
-    exceeds the top eigenvalue only by the solve's backward error, about
-    (2w+1)*u*mu, the order of the Cholesky floor.  The next probe lies the
-    quotient's last change (at least u times the lower end) above the lower
-    end, or at the midpoint if that is nearer or the last probe failed.
-    """
-    from scipy.linalg.lapack import zpbtrf, zpbtrs
-
-    bands, n = A.gram_banded(N)
-    lo = rho = float(bands[-1].real.max())
-    hi = sum(max(abs(d.limit_minus), abs(d.limit_plus), *(abs(v) for _, v in d.core))
-             for d in A.diagonals.values()) ** 2
-    x = np.random.default_rng(0).standard_normal(n)  # no pattern for the top vector to miss
-    np.negative(bands, out=bands)
-    trial = np.empty_like(bands, order="F")     # zpbtrf factors it in place
-    eps, step = np.finfo(float).eps, 0.0
-    while hi - lo > eps * hi:
-        probe = 0.5 * (lo + hi)
-        if lo < lo + step < probe:
-            probe = lo + step
-        trial[...] = bands
-        trial[-1] += probe
-        factor, info = zpbtrf(trial, overwrite_ab=1)
-        if info:
-            lo, step = probe, 0.0
-            continue
-        hi, y = probe, zpbtrs(factor, x)[0]
-        yy = np.vdot(y, y).real
-        last, rho = rho, probe - np.vdot(y, x).real / yy
-        lo, x = max(lo, rho), y / np.sqrt(yy)
-        step = max(abs(rho - last), eps * lo)
-    return float(np.sqrt(hi))
+        # couplings of rows -N + 1 .. N; row -N couples to nothing above it
+        off = np.abs(c[w + 1, 1:]) if w else np.zeros(diag.size - 1)
+        for row, t in zip(out, thresholds):
+            m, _, _, _, info = dstebz(diag, off, 1, -t, t, 0, 0, 2 * t, b"B")
+            if info < 0:
+                raise InputError(f"dstebz rejected argument {-info} at threshold {t}")
+            row.append(m)
+    return out
 
 
 def _dilation_blocks(A, sizes):
@@ -698,15 +655,17 @@ def _dilation_counts(A, sizes, thresholds, norm):
     1976): by Haynsworth additivity each adds its sign to neg(H + tI), and
     the even blocks, updated and newly coupled, form the next level.  A
     direction whose update ||y||^2 / |lambda| on the neighbours would exceed
-    PIVOT_GROWTH * ||A|| joins the neighbour it couples to more strongly
+    PIVOT_GROWTH * norm joins the neighbour it couples to more strongly
     instead: pivoting in the eigenbasis, which bounds the growth of the
-    blocks.  All thresholds and sizes share each level, one chain per
-    (threshold, size), held as distinct blocks and couplings plus index
-    arrays, so the linear algebra runs once per distinct (block, left
-    coupling, right coupling) triple; the shifts touch only the diagonal
-    blocks.  Padding unknowns stay exactly decoupled behind the live ones,
-    and each level keeps as many as its largest block has live: every chain
-    is padded to the threshold that carries the most directions.
+    blocks.  ``norm`` scales that growth and the pivot floors, and must be
+    at least every section's norm, as the coefficient bound B is.  All
+    thresholds and sizes share each level, one chain per (threshold, size),
+    held as distinct blocks and couplings plus index arrays, so the linear
+    algebra runs once per distinct (block, left coupling, right coupling)
+    triple; the shifts touch only the diagonal blocks.  Padding unknowns
+    stay exactly decoupled behind the live ones, and each level keeps as
+    many as its largest block has live: every chain is padded to the
+    threshold that carries the most directions.
     """
     pool, L, live, index = _dilation_blocks(A, sizes)
     b, T = pool.shape[-1], len(thresholds)
@@ -731,22 +690,28 @@ def _dilation_counts(A, sizes, thresholds, norm):
             for row in negative.reshape(T, len(sizes))]
 
 
+def _coefficient_bound(A):
+    """B = sum_k max_i |c_k(i)|: at least the norm of every section."""
+    return float(sum(max(abs(d.limit_minus), abs(d.limit_plus), *(abs(v) for _, v in d.core))
+                     for d in A.diagonals.values()))
+
+
 def finite_section_analysis(A, sizes, eps=DEFAULT_SECTION_EPS):
     """Three-valued truncation diagnostics for the Fredholm verdict.
 
     Each section over [-N, N] contributes the number of singular values
-    below eps and the number below a moderate window (a fixed small fraction
-    of the operator norm).  Both are inertia counts, read without computing
-    a singular value:
+    below eps and the number below a moderate window,
+    max(MODERATE_FRACTION * ess, 4 eps), where ess, the essential norm, is
+    the largest |sigma| of the two limit symbols on the DEFAULT_GRID scan
+    (at most L pi / grid below the true maximum).  Both are inertia counts,
+    read without computing a singular value:
 
     * a Hermitian tridiagonal operator counts the eigenvalues of each
-      section in (-t, t] with LAPACK's Sturm counter, and takes the norm
-      from the two ends of the largest section's spectrum;
+      section in (-t, t] with LAPACK's Sturm counter;
     * any other band counts the negative eigenvalues of its Golub-Kahan
       dilation shifted by t by block cyclic reduction, one level at a time
-      for all sizes and both thresholds over their distinct blocks, and
-      takes the norm from the Gram matrix of the largest section, bracketed
-      by banded Cholesky tests and inverse-iteration Rayleigh quotients.
+      for all sizes and both thresholds over their distinct blocks, with
+      its pivot floors scaled by the coefficient bound B = sum_k max |c_k|.
 
     The flag is a heuristic:
 
@@ -775,16 +740,14 @@ def finite_section_analysis(A, sizes, eps=DEFAULT_SECTION_EPS):
     if sizes[0] <= needed:
         raise InputError(f"smallest size must exceed {needed} for this operator")
 
+    ess = max(np.abs(_symbol_values(limit_operator(A, end), DEFAULT_GRID)).max()
+              for end in ("minus", "plus"))
+    window = max(MODERATE_FRACTION * float(ess), 4.0 * eps)
     if A.bandwidth <= 1 and A.is_selfadjoint():
-        scale, count = _hermitian_sections(A, sizes)
+        counts, window_counts = _hermitian_sections(A, sizes, (eps, window))
     else:
-        scale = _gram_norm(A, sizes[-1])
-
-        def count(thresholds):
-            return _dilation_counts(A, sizes, thresholds, scale)
-
-    window = max(MODERATE_FRACTION * scale, 4.0 * eps)
-    counts, window_counts = count((eps, window))
+        counts, window_counts = _dilation_counts(A, sizes, (eps, window),
+                                                 _coefficient_bound(A))
 
     def growing(seq):
         return all(b > a for a, b in zip(seq, seq[1:]))
@@ -799,5 +762,4 @@ def finite_section_analysis(A, sizes, eps=DEFAULT_SECTION_EPS):
     else:
         flag = "INCONCLUSIVE"
     return FiniteSectionReport(tuple(sizes), float(eps), tuple(counts),
-                               tuple(window_counts), float(window),
-                               float(scale), flag)
+                               tuple(window_counts), float(window), flag)

@@ -3,9 +3,10 @@ families: what the command line reads and writes.
 
 All formats are plain JSON.  Units are strings in files; arrow ids are JSON
 integers (a bool or a float is an input error), and no arrow record, table
-entry or overlap-map entry may repeat.  Complex numbers are encoded as
-[real, imag] pairs (bare reals are accepted when loading); a NaN or
-infinite coefficient is an input error.
+entry or overlap-map entry may repeat, nor may a core index within one
+band diagonal or a band offset (the keys "1" and "+1" name one offset).
+Complex numbers are encoded as [real, imag] pairs (bare reals are accepted
+when loading); a NaN or infinite coefficient is an input error.
 """
 
 from __future__ import annotations
@@ -128,13 +129,14 @@ def load_cover(path):
 
 def band_operator_from_dict(data):
     try:
-        diags = {}
+        diags = []
         for k, rec in data["diagonals"].items():
-            core = tuple((int(i), _complex_in([re, im]))
-                         for i, re, im in rec.get("core", []))
-            diags[int(k)] = Diagonal(_complex_in(rec["limit_minus"]),
-                                     _complex_in(rec["limit_plus"]), core)
-        A = BandOperator(diags)
+            core = _unique(((int(i), _complex_in([re, im]))
+                            for i, re, im in rec.get("core", [])), "core index")
+            diags.append((int(k), Diagonal(_complex_in(rec["limit_minus"]),
+                                           _complex_in(rec["limit_plus"]),
+                                           tuple(core.items()))))
+        A = BandOperator(_unique(diags, "diagonal offset"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed band operator document: {exc}") from None
     if "bandwidth" in data and int(data["bandwidth"]) != A.bandwidth:

@@ -120,15 +120,19 @@ MUTANTS = [
      "live, blocks = np.tile(live, T),",
      "live, blocks = np.repeat(live, T),",
      [BANDOPS + "test_counts_do_not_depend_on_how_thresholds_are_grouped"]),
-    # -- the Rayleigh bracket of the general section norm -----------------------
-    ("rayleigh-raises-hi", "bandops.py",
-     "lo, x = max(lo, rho), y / np.sqrt(yy)",
-     "hi, x = min(hi, rho), y / np.sqrt(yy)",
-     [BANDOPS + "test_gram_norm_brackets_the_bisection_value"]),
-    ("rayleigh-sign-flipped", "bandops.py",
-     "probe - np.vdot(y, x).real / yy",
-     "probe + np.vdot(y, x).real / yy",
-     [BANDOPS + "test_gram_norm_brackets_the_bisection_value"]),
+    # -- the section window scaled by the essential norm --------------------------
+    ("window-by-coefficient-bound", "bandops.py",
+     "window = max(MODERATE_FRACTION * float(ess), 4.0 * eps)",
+     "window = max(MODERATE_FRACTION * _coefficient_bound(A), 4.0 * eps)",
+     [BANDOPS + "test_finite_section_counts_match_dense_singular_values"]),
+    ("window-from-one-end", "bandops.py",
+     "              for end in (\"minus\", \"plus\"))\n    window",
+     "              for end in (\"plus\",))\n    window",
+     [BANDOPS + "test_finite_section_counts_match_dense_singular_values"]),
+    ("pivot-floors-by-ess", "bandops.py",
+     "(eps, window),\n                                                 _coefficient_bound(A))",
+     "(eps, window),\n                                                 float(ess))",
+     [BANDOPS + "test_compact_operator_sections_take_their_pivot_scale_from_the_core"]),
     # -- gluing classes and linking-data orbits read one move wide ---------------
     ("glue-class-named-last", "gluing.py",
      "min(charts.items())",

@@ -221,6 +221,14 @@ def test_gram_banded_matches_dense_singular_values():
             assert np.max(np.abs(bands - expected)) < 1e-12
 
 
+def _window_oracle(A, eps):
+    """The moderate window: 0.02 times the largest |sigma| of both limit
+    symbols on the 4096-point scan grid, and at least 4 eps."""
+    theta = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    ess = max(np.abs(limit_operator(A, end)(theta)).max() for end in ("minus", "plus"))
+    return max(0.02 * float(ess), 4 * eps)
+
+
 def test_finite_section_counts_match_dense_singular_values():
     rng = rng_from_seed(38)
     ops = [random_band_operator(rng) for _ in range(6)]
@@ -230,11 +238,11 @@ def test_finite_section_counts_match_dense_singular_values():
     sizes = (40, 80, 160)
     for A in ops:
         report = finite_section_analysis(A, sizes, 1e-6)
+        assert report.window == _window_oracle(A, 1e-6)
         svals = [np.linalg.svd(A.truncation(N), compute_uv=False) for N in sizes]
         assert report.counts == tuple(int(np.sum(s <= 1e-6)) for s in svals)
         assert report.window_counts == tuple(int(np.sum(s <= report.window))
                                              for s in svals)
-        assert abs(report.norm_estimate - svals[-1].max()) < 1e-9
 
 
 def _dense_section_check(A, steps, eps):
@@ -246,6 +254,7 @@ def _dense_section_check(A, steps, eps):
     sizes = [4 * (max(abs(lo), abs(hi), 1) + A.bandwidth) + 1]
     sizes += [sizes[0] + step for step in steps]
     report = finite_section_analysis(A, sizes, eps)
+    assert report.window == _window_oracle(A, eps)
     svals = [np.linalg.svd(A.truncation(N), compute_uv=False) for N in sizes]
     for t in (eps, report.window):
         # a singular value within rounding of a threshold has no right count
@@ -253,7 +262,6 @@ def _dense_section_check(A, steps, eps):
     assert report.counts == tuple(int(np.sum(s <= eps)) for s in svals)
     assert report.window_counts == tuple(int(np.sum(s <= report.window))
                                          for s in svals)
-    assert abs(report.norm_estimate - svals[-1][0]) < 1e-9
 
 
 def _general_band(rng, w):
@@ -262,62 +270,6 @@ def _general_band(rng, w):
         return complex(rng.standard_normal(), rng.standard_normal())
     return BandOperator({k: Diagonal(draw(), draw(), ((-2, draw()), (0, draw()), (3, draw())))
                          for k in range(-w, w + 1)})
-
-
-def _bisection_norm(A, N):
-    """Section norm by plain bisection on the Cholesky test, and its count of
-    factorizations: the reference that the Rayleigh bracket must match."""
-    from scipy.linalg.lapack import zpbtrf
-
-    bands, _ = A.gram_banded(N)
-    lo = float(bands[-1].real.max())
-    hi = sum(max(abs(d.limit_minus), abs(d.limit_plus), *(abs(v) for _, v in d.core))
-             for d in A.diagonals.values()) ** 2
-    count = 0
-    while hi - lo > np.finfo(float).eps * hi:
-        mid, count = 0.5 * (lo + hi), count + 1
-        trial = -bands
-        trial[-1] += mid
-        if zpbtrf(trial)[1] == 0:
-            hi = mid
-        else:
-            lo = mid
-    return float(np.sqrt(hi)), count
-
-
-@pytest.mark.parametrize("A", [
-    _general_band(rng_from_seed(60), 0),
-    _general_band(rng_from_seed(61), 1),
-    _general_band(rng_from_seed(62), 2),
-    _general_band(rng_from_seed(63), 2),
-    BandOperator.toeplitz({0: 1, 1: -1}),     # the top singular vector alternates
-    BandOperator.toeplitz({2: 1, -2: 1j}),
-    BandOperator.from_limits({0: (1, 0), 1: (0, 1)}),
-    # the entry at 300 lies outside both sections and widens the bracket
-    BandOperator.from_limits({0: (0.5j, 2 - 1j)}, core={0: {-3: 3j, 300: 6.0}}),
-], ids=["w0", "w1", "w2", "w2b", "difference", "offset-two", "switch", "diagonal"])
-@pytest.mark.parametrize("N", [40, 200])
-def test_gram_norm_brackets_the_bisection_value(monkeypatch, A, N):
-    from scipy.linalg import lapack
-
-    expected, bisections = _bisection_norm(A, N)
-    calls, factor = [], lapack.zpbtrf
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return factor(*args, **kwargs)
-
-    monkeypatch.setattr(lapack, "zpbtrf", counting)
-    norm = bandops._gram_norm(A, N)
-    monkeypatch.undo()
-    assert len(calls) <= bisections
-    assert abs(norm - expected) <= 4 * np.finfo(float).eps * expected
-    # sqrt rounds to nearest, so the norm one ulp up squares to at least the
-    # certified upper end, where the factorization succeeded
-    bands, _ = A.gram_banded(N)
-    trial = -bands
-    trial[-1] += np.nextafter(norm, np.inf) ** 2
-    assert lapack.zpbtrf(trial)[1] == 0
 
 
 @pytest.mark.parametrize("w", [1, 2])
@@ -452,8 +404,7 @@ def test_counts_do_not_depend_on_how_thresholds_are_grouped(monkeypatch):
     for trial in range(8):
         w = 1 + trial % 2
         A = _general_band(rng, w)
-        norm = bandops._gram_norm(A, sizes[-1])
-        pair = (1e-6, bandops.MODERATE_FRACTION * norm)
+        norm, pair = bandops._coefficient_bound(A), (1e-6, _window_oracle(A, 1e-6))
         alone, dims = [], []
         for t in pair:
             reached.clear()
@@ -471,7 +422,7 @@ def test_counts_do_not_depend_on_how_thresholds_are_grouped(monkeypatch):
     # only the second threshold meets a singular Schur complement, and the
     # stacked reduction raises as that threshold alone does
     A = BandOperator.from_limits({0: (0.5, 0.5j)})
-    norm = bandops._gram_norm(A, 16)
+    norm = bandops._coefficient_bound(A)
     assert bandops._dilation_counts(A, [8, 16], (1e-6,), norm) == [[0, 0]]
     for pair in ((1e-6, 0.5), (0.5, 1e-6)):
         with pytest.raises(AmbiguityError):
@@ -491,6 +442,20 @@ def test_finite_sections_identity():
     report = finite_section_analysis(BandOperator.identity(), [64, 128, 256], 1e-6)
     assert report.counts == (0, 0, 0)
     assert report.flag == "CONSISTENT-FREDHOLM"
+
+
+def test_compact_operator_sections_take_their_pivot_scale_from_the_core():
+    # zero limits: the essential norm vanishes and the window falls to 4 eps,
+    # while the core alone sets the scale of the reduction's pivot floors
+    A = BandOperator.from_limits({0: (0, 0), 1: (0, 0)},
+                                 core={0: {0: 2.0, 1: -1j}, 1: {1: 0.5j, 2: 3.0}})
+    sizes = (16, 32, 64)
+    report = finite_section_analysis(A, sizes, 1e-6)
+    svals = [np.linalg.svd(A.truncation(N), compute_uv=False) for N in sizes]
+    assert report.window == 4e-6
+    assert report.counts == report.window_counts == tuple(int(np.sum(s <= 1e-6))
+                                                          for s in svals)
+    assert report.flag == "CONSISTENT-NONFREDHOLM"
 
 
 def test_finite_sections_free_laplacian_grows():
@@ -592,7 +557,7 @@ def test_hermitian_section_counts_match_the_sturm_reference():
     for trial in range(150):
         A = _random_hermitian_tridiagonal(rng, coupled=trial % 3 > 0)
         assert A.bandwidth <= 1 and A.is_selfadjoint()
-        norm, count = bandops._hermitian_sections(A, sizes)
+        norm = np.linalg.norm(A.truncation(sizes[-1]), 2)
         diag = A.section_coefficients(sizes[-1])[A.bandwidth].real
         # a diagonal entry as threshold puts an eigenvalue of an uncoupled
         # row exactly on the closed end t or the open end -t
@@ -600,9 +565,10 @@ def test_hermitian_section_counts_match_the_sturm_reference():
         thresholds = [1e-6, 1e-9 + 1.01 * norm, rng.uniform(0.01, 1.0) * norm,
                       *rng.choice(ties, size=min(2, ties.size), replace=False)]
         thresholds = [float(t) for t in thresholds if t > 0]
-        assert count(thresholds) == _sturm_reference(A, sizes, thresholds)
+        assert (bandops._hermitian_sections(A, sizes, thresholds)
+                == _sturm_reference(A, sizes, thresholds))
     with pytest.raises(InputError, match="dstebz"):
-        count((0.0,))
+        bandops._hermitian_sections(A, sizes, (0.0,))
 
 
 def test_truncation_row_convention():

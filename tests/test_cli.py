@@ -169,13 +169,13 @@ def test_fredholm_command(capsys):
      ["fredholm: true", "minus-min-modulus: 1.4955643531",
       "plus-min-modulus: 1.80429988889", "left-fredholm: true", "right-fredholm: true",
       "counts-below-eps: [1, 1, 1]", "counts-below-window: [1, 1, 1]",
-      "window: 0.0530059696615", "flag: CONSISTENT-FREDHOLM", "ok: true"]),
+      "window: 0.0518968445695", "flag: CONSISTENT-FREDHOLM", "ok: true"]),
     # the plus symbol vanishes at theta = 0, a point of the scan grid
     ("band_critical_complex.json",
      ["fredholm: false", "minus-min-modulus: 2.5749195116", "plus-min-modulus: 0",
       "left-fredholm: true", "right-fredholm: false",
       "counts-below-eps: [0, 0, 0]", "counts-below-window: [7, 14, 27]",
-      "window: 0.0818197863514", "flag: CONSISTENT-NONFREDHOLM", "ok: true"]),
+      "window: 0.0818199576267", "flag: CONSISTENT-NONFREDHOLM", "ok: true"]),
 ])
 def test_fredholm_command_on_general_bands(name, rows, capsys):
     # bandwidth 2, complex and not Hermitian: the sections go through the
@@ -202,6 +202,24 @@ def test_non_finite_band_coefficients_are_input_errors(tmp_path, capsys, where, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # nor may a numpy warning leak out
         assert run("fredholm", path) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error:") and message in err
+
+
+@pytest.mark.parametrize("key, record, message", [
+    # index 0 overridden twice in one core: neither value may silently win
+    ("0", {"limit_minus": -2.0, "limit_plus": -2.0, "core": [[0, 5, 0], [0, 7, 0]]},
+     "repeated core index 0"),
+    # "+1" names the offset of the fixture's "1"
+    ("+1", {"limit_minus": 2.0, "limit_plus": 2.0}, "repeated diagonal offset 1"),
+])
+def test_repeated_band_entries_are_input_errors(tmp_path, capsys, key, record, message):
+    data = json.loads(Path(fixture("band_laplacian.json")).read_text())
+    data["diagonals"][key] = record
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps(data))
+    assert run("fredholm", path) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("input error:") and message in err
