@@ -553,10 +553,13 @@ def _dilation_blocks(A, sizes):
 def _negative_pivots(vals, floor, norm, level):
     """Negative eliminated eigenvalues per row; a pivot on its floor raises."""
     size = np.abs(vals)
-    if np.any(size.min(-1) <= floor * np.maximum(norm, size.max(-1))):
+    pivots, floors = size.min(-1), floor * np.maximum(norm, size.max(-1))
+    if np.any(singular := pivots <= floors):
+        at = np.argmax(singular)
         raise AmbiguityError(
             f"block Schur complement at level {level} of the section dilation "
-            f"is singular to working precision (pivot {size.min():.3g})")
+            f"is singular to working precision (pivot {pivots[at]:.3g} at or "
+            f"below its floor {floors[at]:.3g})")
     return (vals < 0).sum(-1)
 
 
@@ -567,20 +570,22 @@ def _distinct(*index):
     return np.unravel_index(tuples, bases), at.reshape(index[0].shape)
 
 
-def _eliminate(D, L, left, right, norm, level):
-    """Eliminate blocks D between the couplings L[left] and L[right].
+def _eliminate(D, blocks, L, left, right, norm, level):
+    """Eliminate blocks D[blocks] between the couplings L[left] and L[right].
 
     Returns their negative eigenvalues, three blocks of G = Y* diag(1/lambda) Y
     over the eliminated eigendirections (rows Y: the couplings to the left
     and right block) -- its two diagonal blocks, the updates of those blocks,
     and its lower off-diagonal one, their new coupling -- and the directions
-    carried to the left and to the right.  A last, null triple stands for
-    the missing neighbour at a chain's end.
+    carried to the left and to the right (no list entries when no direction
+    is deferred).  A last, null triple stands for the missing neighbour at a
+    chain's end.  Each distinct block is diagonalised once.
     """
-    lam, Y = np.linalg.eigh(D)                  # eigenvectors, then their couplings
+    distinct, at = np.unique(blocks, return_inverse=True)
+    lam, V = np.linalg.eigh(D[distinct])
+    lam, Vh = lam[at], V.conj().swapaxes(1, 2)[at]
     d = D.shape[-1]
-    Y = Y.conj().swapaxes(1, 2) @ np.concatenate([L[left], L[right].conj().swapaxes(1, 2)],
-                                                 axis=2)
+    Y = Vh @ np.concatenate([L[left], L[right].conj().swapaxes(1, 2)], axis=2)
     lam, Y = np.vstack([lam, np.full(d, norm)]), np.concatenate([Y, 0 * Y[:1]])
     weight = (np.abs(Y) ** 2).reshape(len(lam), d, 2, d).sum(-1)
     defer = weight.sum(-1) > PIVOT_GROWTH * norm * np.abs(lam)
@@ -589,18 +594,19 @@ def _eliminate(D, L, left, right, norm, level):
     Yh, scaled = Y.conj().swapaxes(1, 2), Y / np.where(defer, np.inf, lam)[..., None]
     G = (Yh[:, :d] @ scaled[..., :d], Yh[:, d:] @ scaled[..., d:],
          Yh[:, d:] @ scaled[..., :d])
-    # a deferred direction joins the neighbour it couples to more strongly; per
-    # side, the carried ones come first, padded to one count with decoupled
-    # directions of eigenvalue norm
-    to_left = defer & (weight[..., 0] >= weight[..., 1])
     carried = []
-    for mask in (to_left, defer & ~to_left):
-        r = mask.sum(-1)
-        order = np.argsort(~mask, axis=-1, kind="stable")[:, :r.max()]
-        keep = np.arange(r.max()) < r[:, None]
-        carried.append((np.where(keep, np.take_along_axis(lam, order, -1), norm),
-                        np.take_along_axis(Y, order[..., None], 1) * keep[..., None], r))
-    return negative, G, *carried
+    if defer.any():
+        # a deferred direction joins the neighbour it couples to more strongly;
+        # per side, the carried ones come first, padded to one count with
+        # decoupled directions of eigenvalue norm
+        to_left = defer & (weight[..., 0] >= weight[..., 1])
+        for mask in (to_left, defer & ~to_left):
+            r = mask.sum(-1)
+            order = np.argsort(~mask, axis=-1, kind="stable")[:, :r.max()]
+            keep = np.arange(r.max()) < r[:, None]
+            carried.append((np.where(keep, np.take_along_axis(lam, order, -1), norm),
+                            np.take_along_axis(Y, order[..., None], 1) * keep[..., None], r))
+    return negative, G, carried
 
 
 def _reduction_level(D, L, live, blocks, links, norm, level):
@@ -613,37 +619,42 @@ def _reduction_level(D, L, live, blocks, links, norm, level):
     """
     K, d = blocks.shape[1], D.shape[-1]
     (tb, tl, tr), inv = _distinct(blocks[:, 1::2], links[:, :K - 1:2], links[:, 1::2])
-    negative, (Gll, Grr, Grl), (lamL, YL, rL), (lamR, YR, rR) = _eliminate(
-        D[tb], L, tl, tr, norm, level)
-    # each even block between its two odd neighbours (or the null triple):
-    # [updated block, directions carried from the right, from the left]
+    negative, (Gll, Grr, Grl), carried = _eliminate(D, tb, L, tl, tr, norm, level)
+    # each even block between its two odd neighbours (or the null triple),
+    # and the coupling of two even neighbours through the odd block between
     K2, null = (K + 1) // 2, np.full((len(blocks), 1), len(tb))
     (tl, e, tr), at = _distinct(np.hstack([null, inv])[:, :K2], blocks[:, ::2],
                                 np.hstack([inv, null])[:, :K2])
-    RL, RR = YL.shape[1], YR.shape[1]
-    n = d + RL + RR
-    raw = np.zeros((len(e), n, n), dtype=complex)
-    raw[:, :d, :d] = D[e] - Grr[tl] - Gll[tr]
-    raw[:, d:d + RL, :d] = YL[tr, :, :d]
-    raw[:, d + RL:, :d] = YR[tl, :, d:]
-    raw[:, :d, d:] = raw[:, d:, :d].conj().swapaxes(1, 2)
-    raw.reshape(len(e), n * n)[:, d * (n + 1)::n + 1] = np.hstack([lamL[tr], lamR[tl]])
-    # live unknowns first; padding beyond the largest live count is dropped
-    pad = np.hstack([np.arange(d) >= live[e][:, None], np.arange(RL) >= rL[tr][:, None],
-                     np.arange(RR) >= rR[tl][:, None]])
-    live = live[e] + rL[tr] + rR[tl]
-    perm = np.argsort(pad, axis=1, kind="stable")[:, :live.max()]
-    D = raw[np.arange(len(e))[:, None, None], perm[:, :, None], perm[:, None, :]]
-    # the coupling of two even neighbours, through the odd block between them
     (tm, lo, hi), at2 = _distinct(inv[:, :K2 - 1], at[:, :-1], at[:, 1:])
-    raw = np.zeros((len(tm), n, n), dtype=complex)
-    raw[:, :d, :d] = -Grl[tm]
-    raw[:, :d, d:d + RL] = YL[tm, :, d:].conj().swapaxes(1, 2)
-    raw[:, d + RL:, :d] = YR[tm, :, :d]
-    L = np.concatenate([np.zeros((1,) + D.shape[1:]), raw[
-        np.arange(len(tm))[:, None, None], perm[hi][:, :, None], perm[lo][:, None, :]]])
-    links = np.hstack([at2 + 1, np.zeros_like(at[:, :1])])   # L[0] is zero
-    return negative[inv].sum(1), (D, L, live, at, links)
+    D, L, live = D[e] - Grr[tl] - Gll[tr], -Grl[tm], live[e]
+    if carried:
+        # border the blocks with the directions carried from the right and
+        # from the left, then bring the live unknowns first
+        (lamL, YL, rL), (lamR, YR, rR) = carried
+        RL, RR = YL.shape[1], YR.shape[1]
+        n = d + RL + RR
+        raw = np.zeros((len(e), n, n), dtype=complex)
+        raw[:, :d, :d] = D
+        raw[:, d:d + RL, :d] = YL[tr, :, :d]
+        raw[:, d + RL:, :d] = YR[tl, :, d:]
+        raw[:, :d, d:] = raw[:, d:, :d].conj().swapaxes(1, 2)
+        raw.reshape(len(e), n * n)[:, d * (n + 1)::n + 1] = np.hstack([lamL[tr], lamR[tl]])
+        pad = np.hstack([np.arange(d) >= live[:, None], np.arange(RL) >= rL[tr][:, None],
+                         np.arange(RR) >= rR[tl][:, None]])
+        live = live + rL[tr] + rR[tl]
+        perm = np.argsort(pad, axis=1, kind="stable")[:, :live.max()]
+        D = raw[np.arange(len(e))[:, None, None], perm[:, :, None], perm[:, None, :]]
+        raw = np.zeros((len(tm), n, n), dtype=complex)
+        raw[:, :d, :d] = L
+        raw[:, :d, d:d + RL] = YL[tm, :, d:].conj().swapaxes(1, 2)
+        raw[:, d + RL:, :d] = YR[tm, :, :d]
+        L = raw[np.arange(len(tm))[:, None, None], perm[hi][:, :, None], perm[lo][:, None, :]]
+    # live unknowns come first (already so without carried directions);
+    # padding beyond the largest live count is dropped, and L[0] is zero
+    top = live.max()
+    L = np.concatenate([np.zeros((1, top, top)), L[:, :top, :top]])
+    links = np.hstack([at2 + 1, np.zeros_like(at[:, :1])])
+    return negative[inv].sum(1), (D[:, :top, :top], L, live, at, links)
 
 
 def _dilation_counts(A, sizes, thresholds, norm):
@@ -660,12 +671,14 @@ def _dilation_counts(A, sizes, thresholds, norm):
     blocks.  ``norm`` scales that growth and the pivot floors, and must be
     at least every section's norm, as the coefficient bound B is.  All
     thresholds and sizes share each level, one chain per (threshold, size),
-    held as distinct blocks and couplings plus index arrays, so the linear
-    algebra runs once per distinct (block, left coupling, right coupling)
-    triple; the shifts touch only the diagonal blocks.  Padding unknowns
-    stay exactly decoupled behind the live ones, and each level keeps as
-    many as its largest block has live: every chain is padded to the
-    threshold that carries the most directions.
+    held as distinct blocks and couplings plus index arrays: each level
+    diagonalises each distinct odd block once, eliminates once per distinct
+    (block, left coupling, right coupling) triple, and does carry
+    bookkeeping only when it defers a direction; the shifts touch only the
+    diagonal blocks.  Padding unknowns stay exactly decoupled behind the
+    live ones, and each level keeps as many as its largest block has live:
+    every chain is padded to the threshold that carries the most
+    directions.
     """
     pool, L, live, index = _dilation_blocks(A, sizes)
     b, T = pool.shape[-1], len(thresholds)

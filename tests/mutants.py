@@ -120,6 +120,17 @@ MUTANTS = [
      "live, blocks = np.tile(live, T),",
      "live, blocks = np.repeat(live, T),",
      [BANDOPS + "test_counts_do_not_depend_on_how_thresholds_are_grouped"]),
+    # -- each distinct block diagonalised once, carries paid only where taken ----
+    ("block-eigenpairs-unmapped", "bandops.py",
+     "lam, Vh = lam[at], V.conj().swapaxes(1, 2)[at]",
+     "lam, Vh = lam[at[::-1]], V.conj().swapaxes(1, 2)[at[::-1]]",
+     [BANDOPS + "test_reduction_diagonalises_each_distinct_block_once",
+      BANDOPS + "test_general_band_sections_match_dense"]),
+    ("carry-skipped-when-deferred", "bandops.py",
+     "    if defer.any():\n",
+     "    if defer.all():\n",
+     [BANDOPS + "test_levels_with_and_without_carried_directions_match_dense",
+      BANDOPS + "test_general_band_sections_match_dense"]),
     # -- the section window scaled by the essential norm --------------------------
     ("window-by-coefficient-bound", "bandops.py",
      "window = max(MODERATE_FRACTION * float(ess), 4.0 * eps)",

@@ -383,7 +383,9 @@ def test_singular_block_schur_complement_raises():
     # |c_0| = 0.5 everywhere and not self-adjoint: with eps = 0.5 every
     # 2x2 block of the dilation shifted by 0.5 is exactly singular
     A = BandOperator.from_limits({0: (0.5, 0.5j)})
-    with pytest.raises(AmbiguityError):
+    # the eigenvalues are 0 and 1, so the floor is 8 eps * dim 2 * max(B = 0.5, 1)
+    with pytest.raises(AmbiguityError, match=r"level 0 .* \(pivot 0 at or below "
+                                             r"its floor 3\.55e-15\)"):
         finite_section_analysis(A, [8, 16], 0.5)
 
 
@@ -427,6 +429,70 @@ def test_counts_do_not_depend_on_how_thresholds_are_grouped(monkeypatch):
     for pair in ((1e-6, 0.5), (0.5, 1e-6)):
         with pytest.raises(AmbiguityError):
             bandops._dilation_counts(A, [8, 16], pair, norm)
+
+
+def test_levels_with_and_without_carried_directions_match_dense(monkeypatch):
+    # the draws of the grouping test defer directions on some levels of
+    # their reductions and none on others, which skip the carry bookkeeping
+    carries, eliminate = [], bandops._eliminate
+
+    def recording(*args):
+        negative, G, carried = eliminate(*args)
+        carries.append(bool(carried))
+        return negative, G, carried
+
+    monkeypatch.setattr(bandops, "_eliminate", recording)
+    rng = rng_from_seed(7)
+    sizes, seen = (24, 48, 96), set()
+    for trial in range(8):
+        A = _general_band(rng, 1 + trial % 2)
+        carries.clear()
+        report = finite_section_analysis(A, sizes, 1e-6)
+        svals = [np.linalg.svd(A.truncation(N), compute_uv=False) for N in sizes]
+        if all(np.min(np.abs(s - t)) > 1e-10 * s[0]
+               for s in svals for t in (1e-6, report.window)):
+            assert report.counts == tuple(int(np.sum(s <= 1e-6)) for s in svals)
+            assert report.window_counts == tuple(int(np.sum(s <= report.window))
+                                                 for s in svals)
+            seen.update(carries)
+    assert seen == {False, True}
+
+
+def test_reduction_diagonalises_each_distinct_block_once(monkeypatch):
+    # over long constant runs one block sits between several pairs of
+    # couplings; each level hands eigh its distinct odd blocks, not its triples
+    handed, odd, triples = [], [], []
+    eigh, level = np.linalg.eigh, bandops._reduction_level
+
+    def counting(a, *args, **kwargs):
+        handed.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    def recording(D, L, live, blocks, links, *rest):
+        K = blocks.shape[1]
+        odd.append(len(np.unique(blocks[:, 1::2])))
+        triple = np.stack([blocks[:, 1::2], links[:, :K - 1:2], links[:, 1::2]], -1)
+        triples.append(len(np.unique(triple.reshape(-1, 3), axis=0)))
+        return level(D, L, live, blocks, links, *rest)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(bandops, "_reduction_level", recording)
+    rng = rng_from_seed(42)
+    sizes, checked = (40, 80, 161), 0
+    for _ in range(3):
+        A = _general_band(rng, 2)
+        del handed[:], odd[:], triples[:]
+        report = finite_section_analysis(A, sizes, 1e-6)
+        assert handed == odd and sum(triples) > sum(odd)
+        svals = [np.linalg.svd(A.truncation(N), compute_uv=False) for N in sizes]
+        if any(np.min(np.abs(s - t)) <= 1e-10 * s[0]
+               for s in svals for t in (1e-6, report.window)):
+            continue                    # within the reduction's floor of a threshold
+        assert report.counts == tuple(int(np.sum(s <= 1e-6)) for s in svals)
+        assert report.window_counts == tuple(int(np.sum(s <= report.window))
+                                             for s in svals)
+        checked += 1
+    assert checked >= 2
 
 
 def test_carried_directions_stay_bounded(monkeypatch):
