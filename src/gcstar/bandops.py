@@ -501,14 +501,18 @@ def _dilation_blocks(A, sizes):
     are read from the rows of blocks k and k + 1, so a block repeats its
     predecessor when those rows repeat bit for bit (uint64 views, so that
     +0 and -0 stay apart), and only one block is built per distinct run.
+    The pool numbers its blocks in order of first appearance, smallest
+    section first, through a dict over the bytes of each run's key: no row
+    is sorted.
     """
     w = A.bandwidth
     m, b = w + 1, 2 * w + 2             # section rows and unknowns per block
     Nmax = sizes[-1]
     n_blocks = 2 * Nmax // m + 1
     table = A.section_coefficients(Nmax)   # table[d + w, i + Nmax] = c_d(i)
-    bits = table.view(np.uint64).reshape(2 * w + 1, -1, 2)
-    repeats = (bits[:, m:] == bits[:, :-m]).all(axis=(0, 2))   # column c + m repeats c
+    bits = table.view(np.uint64)        # two words per coefficient
+    # column c + m repeats column c
+    repeats = (bits[:, 2 * m:] == bits[:, :-2 * m]).all(0).reshape(-1, 2).all(1)
     offsets = np.arange(-w, w + 1)
     # the x-row p of a block meets the y-column p - d, counted from that
     # block, inside the three blocks k - 1, k, k + 1
@@ -536,9 +540,11 @@ def _dilation_blocks(A, sizes):
         windows.append(np.ascontiguousarray(window.transpose(1, 2, 0)))  # (runs, 2m, 2w+1)
         keys.append(np.hstack([windows[-1].view(np.uint64).reshape(starts.size, -1),
                                live[starts, None].astype(np.uint64)]))
-    keys = np.vstack(keys)
-    _, first, at = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    index = np.repeat(at.reshape(-1), np.concatenate(runs)).reshape(len(sizes), n_blocks)
+    keys, seen = np.vstack(keys), {}   # key -> (block number, its first run)
+    at = np.array([seen.setdefault(key.tobytes(), (len(seen), i))[0]
+                   for i, key in enumerate(keys)])
+    first = np.array([i for _, i in seen.values()])
+    index = np.repeat(at, np.concatenate(runs)).reshape(len(sizes), n_blocks)
     window = np.concatenate(windows)[first]
     F = np.zeros((len(first), 2, b * 3 * b), dtype=complex)
     F[..., scatter] = (window.reshape(-1, 2, m, 2 * w + 1).swapaxes(2, 3)
@@ -555,7 +561,8 @@ def _negative_pivots(vals, floor, norm, level):
     size = np.abs(vals)
     pivots, floors = size.min(-1), floor * np.maximum(norm, size.max(-1))
     if np.any(singular := pivots <= floors):
-        at = np.argmax(singular)
+        # the pivot deepest below its floor, whatever the order of the rows
+        at = min(np.flatnonzero(singular), key=lambda i: (pivots[i] / floors[i], floors[i]))
         raise AmbiguityError(
             f"block Schur complement at level {level} of the section dilation "
             f"is singular to working precision (pivot {pivots[at]:.3g} at or "
@@ -564,10 +571,18 @@ def _negative_pivots(vals, floor, norm, level):
 
 
 def _distinct(*index):
-    """The distinct tuples of equally shaped index arrays, and where each sits."""
+    """The distinct tuples of equally shaped index arrays, and where each sits.
+
+    The tuples come sorted, as np.unique returns them.  Chains hold long
+    runs of one tuple, so only the heads of runs (in flat order) are sorted
+    and each run takes the position of its head.
+    """
     bases = [int(i.max(initial=0)) + 1 for i in index]
-    tuples, at = np.unique(np.ravel_multi_index(index, bases), return_inverse=True)
-    return np.unravel_index(tuples, bases), at.reshape(index[0].shape)
+    codes = np.ravel_multi_index(index, bases).ravel()
+    head = np.ones(codes.size, dtype=bool)      # where each run begins
+    np.not_equal(codes[1:], codes[:-1], out=head[1:])
+    tuples, at = np.unique(codes[head], return_inverse=True)
+    return np.unravel_index(tuples, bases), at[np.cumsum(head) - 1].reshape(index[0].shape)
 
 
 def _eliminate(D, blocks, L, left, right, norm, level):
@@ -615,7 +630,10 @@ def _reduction_level(D, L, live, blocks, links, norm, level):
     Chains are the rows of ``blocks`` (pool entries of D, live) and
     ``links`` (pool entries of L, the coupling to the next block; the last
     of a chain is zero).  Each odd position is eliminated against its
-    neighbours; the even positions form the next level.
+    neighbours; the even positions form the next level.  Without a carried
+    direction the new coupling of two even neighbours depends on the odd
+    triple between them alone, so it keeps that triple's index; only a
+    level that carries deduplicates its link triples.
     """
     K, d = blocks.shape[1], D.shape[-1]
     (tb, tl, tr), inv = _distinct(blocks[:, 1::2], links[:, :K - 1:2], links[:, 1::2])
@@ -625,11 +643,12 @@ def _reduction_level(D, L, live, blocks, links, norm, level):
     K2, null = (K + 1) // 2, np.full((len(blocks), 1), len(tb))
     (tl, e, tr), at = _distinct(np.hstack([null, inv])[:, :K2], blocks[:, ::2],
                                 np.hstack([inv, null])[:, :K2])
-    (tm, lo, hi), at2 = _distinct(inv[:, :K2 - 1], at[:, :-1], at[:, 1:])
-    D, L, live = D[e] - Grr[tl] - Gll[tr], -Grl[tm], live[e]
+    D, L, live, links = D[e] - Grr[tl] - Gll[tr], -Grl, live[e], inv[:, :K2 - 1] + 1
     if carried:
         # border the blocks with the directions carried from the right and
-        # from the left, then bring the live unknowns first
+        # from the left, then bring the live unknowns first; a coupling now
+        # also depends on the carried directions of both its ends
+        (tm, lo, hi), at2 = _distinct(inv[:, :K2 - 1], at[:, :-1], at[:, 1:])
         (lamL, YL, rL), (lamR, YR, rR) = carried
         RL, RR = YL.shape[1], YR.shape[1]
         n = d + RL + RR
@@ -645,15 +664,16 @@ def _reduction_level(D, L, live, blocks, links, norm, level):
         perm = np.argsort(pad, axis=1, kind="stable")[:, :live.max()]
         D = raw[np.arange(len(e))[:, None, None], perm[:, :, None], perm[:, None, :]]
         raw = np.zeros((len(tm), n, n), dtype=complex)
-        raw[:, :d, :d] = L
+        raw[:, :d, :d] = L[tm]
         raw[:, :d, d:d + RL] = YL[tm, :, d:].conj().swapaxes(1, 2)
         raw[:, d + RL:, :d] = YR[tm, :, :d]
         L = raw[np.arange(len(tm))[:, None, None], perm[hi][:, :, None], perm[lo][:, None, :]]
+        links = at2 + 1
     # live unknowns come first (already so without carried directions);
     # padding beyond the largest live count is dropped, and L[0] is zero
     top = live.max()
     L = np.concatenate([np.zeros((1, top, top)), L[:, :top, :top]])
-    links = np.hstack([at2 + 1, np.zeros_like(at[:, :1])])
+    links = np.hstack([links, np.zeros_like(at[:, :1])])
     return negative[inv].sum(1), (D[:, :top, :top], L, live, at, links)
 
 
@@ -671,11 +691,13 @@ def _dilation_counts(A, sizes, thresholds, norm):
     blocks.  ``norm`` scales that growth and the pivot floors, and must be
     at least every section's norm, as the coefficient bound B is.  All
     thresholds and sizes share each level, one chain per (threshold, size),
-    held as distinct blocks and couplings plus index arrays: each level
-    diagonalises each distinct odd block once, eliminates once per distinct
-    (block, left coupling, right coupling) triple, and does carry
-    bookkeeping only when it defers a direction; the shifts touch only the
-    diagonal blocks.  Padding unknowns stay exactly decoupled behind the
+    held as distinct blocks and couplings plus index arrays, level 0's
+    numbered by first appearance: each level diagonalises each distinct odd
+    block once, eliminates once per distinct (block, left coupling, right
+    coupling) triple, found by sorting only the heads of runs of equal
+    triples, and does carry bookkeeping, including the deduplication of its
+    link triples, only when it defers a direction; the shifts touch only
+    the diagonal blocks.  Padding unknowns stay exactly decoupled behind the
     live ones, and each level keeps as many as its largest block has live:
     every chain is padded to the threshold that carries the most
     directions.

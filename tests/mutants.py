@@ -131,6 +131,22 @@ MUTANTS = [
      "    if defer.all():\n",
      [BANDOPS + "test_levels_with_and_without_carried_directions_match_dense",
       BANDOPS + "test_general_band_sections_match_dense"]),
+    # -- sorts only where the reduction needs them --------------------------------
+    ("run-head-first-unflagged", "bandops.py",
+     "head = np.ones(codes.size, dtype=bool)",
+     "head = np.zeros(codes.size, dtype=bool)",
+     [BANDOPS + "test_distinct_matches_unique_over_every_code",
+      BANDOPS + "test_general_band_sections_match_dense"]),
+    ("links-reused-when-deferred", "bandops.py",
+     "        links = at2 + 1\n",
+     "",
+     [BANDOPS + "test_levels_with_and_without_carried_directions_match_dense",
+      BANDOPS + "test_general_band_sections_match_dense"]),
+    ("level0-block-misnumbered", "bandops.py",
+     "index = np.repeat(at, np.concatenate(runs))",
+     "index = np.repeat(np.r_[at[1], at[1:]], np.concatenate(runs))",
+     [BANDOPS + "test_level0_pool_matches_the_sort_numbered_reference",
+      BANDOPS + "test_general_band_sections_match_dense"]),
     # -- the section window scaled by the essential norm --------------------------
     ("window-by-coefficient-bound", "bandops.py",
      "window = max(MODERATE_FRACTION * float(ess), 4.0 * eps)",

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gcstar import bandops
@@ -389,6 +389,21 @@ def test_singular_block_schur_complement_raises():
         finite_section_analysis(A, [8, 16], 0.5)
 
 
+def test_pivot_error_names_the_same_pivot_whatever_the_row_order():
+    # three rows fail: pivots 0 (floors 3e-14 and 2e-14) and 1e-17 (floor
+    # 1e-14); the pivot deepest below its floor, the smaller floor on a tie,
+    # is named in every order of the rows
+    rows = np.array([[1.0, 2.0], [0.0, 3.0], [1e-17, 1.0], [0.0, -2.0]])
+    messages = set()
+    for order in ([0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1], [1, 3, 0, 2]):
+        with pytest.raises(AmbiguityError) as error:
+            bandops._negative_pivots(rows[order], 1e-14, 1.0, 4)
+        messages.add(str(error.value))
+    assert len(messages) == 1
+    assert messages.pop().endswith("level 4 of the section dilation is singular to working "
+                                   "precision (pivot 0 at or below its floor 2e-14)")
+
+
 def test_counts_do_not_depend_on_how_thresholds_are_grouped(monkeypatch):
     # all thresholds share one reduction; the eps reduction of some draws
     # carries directions, and then the window's chains run padded to its
@@ -434,20 +449,33 @@ def test_counts_do_not_depend_on_how_thresholds_are_grouped(monkeypatch):
 def test_levels_with_and_without_carried_directions_match_dense(monkeypatch):
     # the draws of the grouping test defer directions on some levels of
     # their reductions and none on others, which skip the carry bookkeeping
-    carries, eliminate = [], bandops._eliminate
+    # and the deduplication of their link triples: two sorts, not three
+    carries, sorts = [], []
+    eliminate, distinct, level = bandops._eliminate, bandops._distinct, bandops._reduction_level
 
     def recording(*args):
         negative, G, carried = eliminate(*args)
         carries.append(bool(carried))
         return negative, G, carried
 
+    def counting(*index):
+        sorts[-1] += 1
+        return distinct(*index)
+
+    def per_level(*args):
+        sorts.append(0)
+        return level(*args)
+
     monkeypatch.setattr(bandops, "_eliminate", recording)
+    monkeypatch.setattr(bandops, "_distinct", counting)
+    monkeypatch.setattr(bandops, "_reduction_level", per_level)
     rng = rng_from_seed(7)
     sizes, seen = (24, 48, 96), set()
     for trial in range(8):
         A = _general_band(rng, 1 + trial % 2)
-        carries.clear()
+        del carries[:], sorts[:]
         report = finite_section_analysis(A, sizes, 1e-6)
+        assert sorts == [3 if carry else 2 for carry in carries]
         svals = [np.linalg.svd(A.truncation(N), compute_uv=False) for N in sizes]
         if all(np.min(np.abs(s - t)) > 1e-10 * s[0]
                for s in svals for t in (1e-6, report.window)):
@@ -493,6 +521,101 @@ def test_reduction_diagonalises_each_distinct_block_once(monkeypatch):
                                              for s in svals)
         checked += 1
     assert checked >= 2
+
+
+@st.composite
+def _runs_of_tuples(draw):
+    """Equally shaped index arrays whose flat tuples come in long runs.
+
+    Rows may be empty or hold one entry, and a run may continue across a
+    row boundary.
+    """
+    n, rows, cols = draw(st.integers(1, 3)), draw(st.integers(0, 4)), draw(st.integers(0, 7))
+    runs = draw(st.lists(st.tuples(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                                   st.integers(1, 12)), min_size=1, max_size=6))
+    flat = np.repeat([v for v, _ in runs], [k for _, k in runs], axis=0)
+    flat = np.resize(flat, (rows * cols, n))     # cycles the runs to fill
+    return tuple(flat[:, j].reshape(rows, cols) for j in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_runs_of_tuples())
+@example((np.zeros((3, 0), dtype=int), np.zeros((3, 0), dtype=int)))
+@example((np.array([[2], [2], [0]]), np.array([[1], [1], [1]])))
+@example((np.full((4, 5), 3), np.full((4, 5), 1), np.full((4, 5), 2)))
+def test_distinct_matches_unique_over_every_code(index):
+    bases = [int(i.max(initial=0)) + 1 for i in index]
+    codes, at = np.unique(np.ravel_multi_index(index, bases), return_inverse=True)
+    tuples, got = bandops._distinct(*index)
+    assert len(tuples) == len(index)
+    for column, want in zip(tuples, np.unravel_index(codes, bases)):
+        assert np.array_equal(column, want)
+    assert got.shape == index[0].shape and np.array_equal(got, at.reshape(got.shape))
+
+
+def _sort_numbered_dilation_blocks(A, sizes):
+    """The level-0 pool numbered by sorting its key rows (np.unique, axis 0).
+
+    The reference for _dilation_blocks, which numbers the same distinct
+    runs by first appearance instead.
+    """
+    w = A.bandwidth
+    m, b = w + 1, 2 * w + 2
+    Nmax = sizes[-1]
+    n_blocks = 2 * Nmax // m + 1
+    table = A.section_coefficients(Nmax)
+    bits = table.view(np.uint64).reshape(2 * w + 1, -1, 2)
+    repeats = (bits[:, m:] == bits[:, :-m]).all(axis=(0, 2))
+    offsets = np.arange(-w, w + 1)
+    p, d = np.meshgrid(np.arange(m), offsets)
+    scatter = (2 * p * 3 * b + 2 * (p - d + m) + 1).ravel()
+    keys, windows, runs = [], [], []
+    for N in sizes:
+        same = np.zeros((n_blocks + 1) * m, dtype=bool)
+        same[m + w:2 * N + 1 - w] = repeats[Nmax - N + w:Nmax + N + 1 - w - m]
+        same[2 * N + 1 + m:] = True
+        same = same[m:].reshape(-1, m).all(1)
+        live = 2 * np.clip(2 * N + 1 - m * np.arange(n_blocks), 0, m)
+        repeat = same[:-1] & same[1:] & (live[1:] == live[:-1])
+        starts = np.flatnonzero(np.r_[True, ~repeat])
+        runs.append(np.diff(np.r_[starts, n_blocks]))
+        r = m * starts[:, None] + np.arange(2 * m)
+        col = r - offsets[:, None, None]
+        window = np.where((r <= 2 * N) & (col >= 0) & (col <= 2 * N),
+                          table[:, np.clip(r - N + Nmax, 0, 2 * Nmax)], 0)
+        windows.append(np.ascontiguousarray(window.transpose(1, 2, 0)))
+        keys.append(np.hstack([windows[-1].view(np.uint64).reshape(starts.size, -1),
+                               live[starts, None].astype(np.uint64)]))
+    keys = np.vstack(keys)
+    _, first, at = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    index = np.repeat(at.reshape(-1), np.concatenate(runs)).reshape(len(sizes), n_blocks)
+    window = np.concatenate(windows)[first]
+    F = np.zeros((len(first), 2, b * 3 * b), dtype=complex)
+    F[..., scatter] = (window.reshape(-1, 2, m, 2 * w + 1).swapaxes(2, 3)
+                       .reshape(len(F), 2, scatter.size))
+    F = F.reshape(-1, 2, b, 3 * b)
+    mid = F[:, 0, :, b:2 * b]
+    return (mid + mid.conj().swapaxes(1, 2),
+            F[:, 1, :, :b] + F[:, 0, :, 2 * b:].conj().swapaxes(1, 2),
+            keys[first, -1].astype(int), index)
+
+
+@pytest.mark.parametrize("sizes", [(40, 80, 161), (100, 101)])
+def test_level0_pool_matches_the_sort_numbered_reference(sizes):
+    rng = rng_from_seed(44)
+    for w in (1, 2, 1, 2):
+        A = _general_band(rng, w)
+        pool, L, live, index = bandops._dilation_blocks(A, sizes)
+        *want, at = _sort_numbered_dilation_blocks(A, sizes)
+        # every block at every (size, position) bit for bit
+        for got, ref in zip((pool, L, live), want):
+            assert np.array_equal(got[index].view(np.uint64), ref[at].view(np.uint64))
+        # one entry per distinct key: the numbering is a bijection
+        pairs = np.unique(np.stack([index.ravel(), at.ravel()]), axis=1)
+        assert len(pool) == len(L) == len(live) == len(want[0]) == pairs.shape[1]
+        # numbered in order of first appearance, smallest section first
+        _, first = np.unique(index, return_index=True)
+        assert np.all(np.diff(first) > 0)
 
 
 def test_carried_directions_stay_bounded(monkeypatch):
